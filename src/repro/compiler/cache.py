@@ -1,8 +1,10 @@
 """Persistent on-disk compile cache.
 
-Scheduling a thread is the expensive half of a sweep: the experiment
-grid (Figures 5-8, the resilience table, ``repro bench``) compiles the
-same (source, mode, machine-signature) triple over and over — across
+Compiling takes about a fifth of the wall time of a sweep from an empty
+cache, list scheduling under a tenth (traced ``figure-sweeps-cold``
+passes of ``perfbench/run.py`` on a 2-core VM), and the experiment grid
+(Figures 5-8, the resilience table, ``repro bench``) compiles the same
+(source, mode, machine-signature) triple over and over — across
 processes, and across invocations.  This module memoizes
 :class:`~repro.compiler.driver.CompiledProgram` objects on disk, keyed
 by a digest of

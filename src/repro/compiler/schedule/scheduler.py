@@ -21,13 +21,15 @@ block boundaries), operations are placed most-critical-first onto
 * the block terminator is placed in the last row.
 """
 
+import heapq
 from dataclasses import dataclass, field
 
 from ...errors import CompileError
 from ...isa.operations import UnitClass
-from ..ir import Const, is_vreg
+from ..ir import is_vreg
 from ..options import DEFAULT_OPTIONS
 from .ddg import build_ddg
+from .slots import SlotBoard, find_slot
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,9 @@ class ThreadScheduler:
     majority-use cluster and re-schedules, minimizing the inter-cluster
     moves that loop-carried variables would otherwise pay on every
     iteration (the paper: operations are placed to minimize
-    communication between function units).
+    communication between function units).  A block's dependence graph
+    and priorities do not depend on where homes live, so the second
+    pass reuses the first pass's.
     """
 
     def __init__(self, thread_ir, config, spec, live_in, home_plan=None,
@@ -126,6 +130,22 @@ class ThreadScheduler:
                 position % len(self.alu_allowed)])
         self._temp_rr = 0
         self._use_votes = {}
+        # One slot board per (cluster, unit kind), cleared per block.
+        # The memos below hold boards directly and are keyed by opcode
+        # name or value type, never by UnitClass (whose hash runs
+        # Python code).
+        latencies = {}
+        for slot in config.units:
+            latencies.setdefault((slot.cluster, slot.kind),
+                                 []).append(slot.latency)
+        self._boards = {key: SlotBoard(values)
+                        for key, values in latencies.items()}
+        # The block's control rows: one pseudo-unit shared by every
+        # branch unit, so a row holds at most one control operation.
+        self._control = SlotBoard((0,))
+        self._latency = {}       # opcode -> dependence delay
+        self._placements = {}    # opcode -> [(cluster, board)], preferred first
+        self._moves = {}         # (cluster, value type) -> (op, kind, board)
 
     # -- small helpers ---------------------------------------------------
 
@@ -141,48 +161,25 @@ class ThreadScheduler:
             self.home_loc[vreg_id] = cluster
         return cluster
 
-    def _units(self, cluster, kind):
-        return self.config.units_of_kind(kind, cluster)
-
     def _true_latency(self, instr):
         """Producer-to-consumer delay used for dependence estimates."""
+        latency = self._latency.get(instr.op)
+        if latency is not None:
+            return latency
         kind = instr.spec.unit
-        candidates = [c for c in self.allowed
-                      if self.config.clusters[c].has(kind)]
+        candidates = [c for c in self.allowed if (c, kind) in self._boards]
         if not candidates:
             candidates = [c for c in range(self.config.n_clusters)
-                          if self.config.clusters[c].has(kind)]
+                          if (c, kind) in self._boards]
         if not candidates:
             raise CompileError("machine has no %s unit for %s"
                                % (kind, instr))
-        latency = min(min(u.latency for u in self._units(c, kind))
+        latency = min(min(self._boards[c, kind].latencies)
                       for c in candidates)
         if instr.spec.is_load:
             latency += self.config.memory.hit_latency - 1
+        self._latency[instr.op] = latency
         return latency
-
-    def _find_slot(self, cluster, kind, min_row, mark=False, control=False):
-        """Earliest (row, unit index, latency) for a unit of ``kind`` in
-        ``cluster`` at or after ``min_row``; None if the cluster has no
-        such unit."""
-        units = self._units(cluster, kind)
-        if not units:
-            return None
-        row = max(min_row, 0)
-        while True:
-            if control and row in self._control_rows:
-                row += 1
-                continue
-            for index, slot in enumerate(units):
-                occupied = self._busy.setdefault((cluster, kind, index),
-                                                 set())
-                if row not in occupied:
-                    if mark:
-                        occupied.add(row)
-                        if control:
-                            self._control_rows.add(row)
-                    return row, index, slot.latency
-            row += 1
 
     # -- operand placement -------------------------------------------------
 
@@ -212,11 +209,8 @@ class ThreadScheduler:
         option_move = None
         move_from = None
         for source in self._move_options(vreg, locations):
-            kind = self._move_kind(source, vreg)
-            slot = self._find_slot(source, kind, locations[source])
-            if slot is None:
-                continue
-            row, __, latency = slot
+            board = self._move(source, vreg)[2]
+            row, __, latency = find_slot(board, locations[source])
             candidate = row + latency
             if option_move is None or candidate < option_move:
                 option_move = candidate
@@ -234,41 +228,56 @@ class ThreadScheduler:
             producer_entry.dests.append((vreg, cluster))
             locations[cluster] = option_extra
             return option_extra
-        kind = self._move_kind(move_from, vreg)
-        row, index, latency = self._find_slot(move_from, kind,
-                                              locations[move_from],
-                                              mark=True)
-        move_op = "imov" if kind is UnitClass.IU else "fmov"
+        move_op, kind, board = self._move(move_from, vreg)
+        row, index, latency = find_slot(board, locations[move_from],
+                                        mark=True)
         entry = SchedEntry(move_op, row, move_from, kind, index,
                            dests=[(vreg, cluster)],
                            srcs=[PlacedReg(vreg, move_from)],
                            avail=row + latency)
         self._rows.setdefault(row, []).append(entry)
         self._max_row = max(self._max_row, row)
-        self._moves_inserted += 1
         locations[cluster] = row + latency
         return row + latency
 
-    def _move_kind(self, cluster, vreg):
-        spec = self.config.clusters[cluster]
-        preferred = UnitClass.IU if vreg.type == "i" else UnitClass.FPU
-        if spec.has(preferred):
-            return preferred
-        return UnitClass.FPU if preferred is UnitClass.IU else UnitClass.IU
+    def _move(self, cluster, vreg):
+        """``(opcode, unit kind, board)`` of a register move of ``vreg``
+        executed in ``cluster``: an IU move for integers and an FPU move
+        for floats, or whichever of the two the cluster has."""
+        key = (cluster, vreg.type)
+        move = self._moves.get(key)
+        if move is None:
+            spec = self.config.clusters[cluster]
+            kind = UnitClass.IU if vreg.type == "i" else UnitClass.FPU
+            if not spec.has(kind):
+                kind = UnitClass.FPU if kind is UnitClass.IU \
+                    else UnitClass.IU
+            move_op = "imov" if kind is UnitClass.IU else "fmov"
+            move = self._moves[key] = (move_op, kind,
+                                       self._boards[cluster, kind])
+        return move
 
     # -- instruction placement ------------------------------------------------
 
-    def _candidate_clusters(self, instr):
+    def _candidates(self, instr):
+        """``[(cluster, board)]`` that can execute ``instr``, in the
+        thread's preference order."""
+        placements = self._placements.get(instr.op)
+        if placements is not None:
+            return placements
         kind = instr.spec.unit
         if kind is UnitClass.BRU:
-            return list(self.bru_clusters)
-        candidates = [c for c in self.allowed
-                      if self.config.clusters[c].has(kind)]
-        if not candidates:
-            raise CompileError(
-                "thread %r: no %s unit among allowed clusters %r for %s"
-                % (self.ir.name, kind, self.allowed, instr))
-        return candidates
+            clusters = self.bru_clusters
+        else:
+            clusters = [c for c in self.allowed
+                        if (c, kind) in self._boards]
+            if not clusters:
+                raise CompileError(
+                    "thread %r: no %s unit among allowed clusters %r "
+                    "for %s" % (self.ir.name, kind, self.allowed, instr))
+        placements = self._placements[instr.op] = [
+            (c, self._boards[c, kind]) for c in clusters]
+        return placements
 
     def _base_est(self, node, graph, entries):
         est = 0
@@ -297,8 +306,8 @@ class ThreadScheduler:
                 fixups += 1
         return est, fixups
 
-    def _commit(self, instr, node, cluster, graph, entries, base_est,
-                min_row=0):
+    def _commit(self, instr, node, cluster, board, control, graph, entries,
+                base_est, min_row=0):
         est = base_est
         placed_srcs = []
         for operand in instr.srcs:
@@ -326,16 +335,13 @@ class ThreadScheduler:
                 source, avail = min(locations.items(), key=lambda kv: kv[1])
                 est = max(est, avail)
                 placed_args.append(PlacedReg(operand, source))
-        kind = instr.spec.unit
-        is_control = kind is UnitClass.BRU
-        row, index, latency = self._find_slot(cluster, kind,
-                                              max(est, min_row),
-                                              mark=True,
-                                              control=is_control)
+        spec = instr.spec
+        row, index, latency = find_slot(board, max(est, min_row), control,
+                                        mark=True)
         avail = row + latency
-        if instr.spec.is_load:
+        if spec.is_load:
             avail += self.config.memory.hit_latency - 1
-        entry = SchedEntry(instr.op, row, cluster, kind, index,
+        entry = SchedEntry(instr.op, row, cluster, spec.unit, index,
                            srcs=placed_srcs, sym=instr.sym,
                            target=instr.target, fork_args=placed_args,
                            avail=avail)
@@ -359,66 +365,70 @@ class ThreadScheduler:
 
     def _place(self, instr, node, graph, entries, is_terminator):
         base_est = self._base_est(node, graph, entries)
-        candidates = self._candidate_clusters(instr)
+        control = self._control if instr.spec.unit is UnitClass.BRU \
+            else None
         best = None
-        for preference, cluster in enumerate(candidates):
+        for preference, (cluster, board) in enumerate(
+                self._candidates(instr)):
             est, fixups = self._estimate(instr, node, cluster, graph,
                                          entries, base_est)
-            slot = self._find_slot(cluster, instr.spec.unit, est,
-                                   mark=False,
-                                   control=instr.spec.unit is UnitClass.BRU)
-            if slot is None:
-                continue
-            row = slot[0]
+            row = find_slot(board, est, control)[0]
             score = (row, fixups, preference)
             if best is None or score < best[0]:
-                best = (score, cluster)
-        if best is None:
-            raise CompileError("thread %r: nowhere to place %s"
-                               % (self.ir.name, instr))
+                best = (score, cluster, board)
         min_row = self._max_row if is_terminator else 0
-        self._commit(instr, node, best[1], graph, entries, base_est,
-                     min_row=min_row)
+        self._commit(instr, node, best[1], best[2], control, graph,
+                     entries, base_est, min_row=min_row)
 
     # -- per-block driver ---------------------------------------------------
 
-    def _schedule_block(self, block):
-        graph = build_ddg(block, self._true_latency,
-                          affine_alias=self.options.affine_alias)
+    def _schedule_block(self, block, graph, priority):
         instrs = graph.instrs
-        priority = graph.priorities(self._true_latency)
         self._loc = {}
         for home_id in self.live_in.get(block.name, ()):
             home = self._home_of(home_id)
             self._loc[home_id] = {home: 0}
-        self._busy = {}
-        self._control_rows = set()
+        for board in self._boards.values():
+            board.clear()
+        self._control.clear()
         self._rows = {}
         self._max_row = -1
         entries = {}
-        remaining = [len(graph.preds[i]) for i in range(len(instrs))]
-        ready = [i for i in range(len(instrs)) if remaining[i] == 0]
+        terminator = len(instrs) - 1 if block.terminator is not None \
+            else None
+        remaining = [len(preds) for preds in graph.preds]
+        # Most critical first, ties to the earlier instruction: the heap
+        # pops the least (-priority, node) key, which is unique per node.
+        ready = [(-priority[i], i) for i, count in enumerate(remaining)
+                 if count == 0]
+        heapq.heapify(ready)
         scheduled = 0
         while ready:
-            ready.sort(key=lambda i: (-priority[i], i))
-            node = ready.pop(0)
-            instr = instrs[node]
-            is_terminator = (block.terminator is not None
-                             and node == len(instrs) - 1)
-            self._place(instr, node, graph, entries, is_terminator)
+            node = heapq.heappop(ready)[1]
+            self._place(instrs[node], node, graph, entries,
+                        node == terminator)
             scheduled += 1
             for edge in graph.succs[node]:
-                remaining[edge.succ] -= 1
-                if remaining[edge.succ] == 0:
-                    ready.append(edge.succ)
+                succ = edge.succ
+                remaining[succ] -= 1
+                if remaining[succ] == 0:
+                    heapq.heappush(ready, (-priority[succ], succ))
         if scheduled != len(instrs):
             raise CompileError("dependence cycle while scheduling block %r"
                                % block.name)
         return ScheduledBlock(block.name, self._rows)
 
-    def _run_all(self):
-        self._moves_inserted = 0
-        blocks = [self._schedule_block(block) for block in self.ir.blocks]
+    def _run_all(self, graphs):
+        """Schedule every block.  ``graphs`` holds each block's
+        (dependence graph, priorities): the first pass builds them as it
+        reaches each block, the home-placement pass reuses them."""
+        blocks = []
+        for index, block in enumerate(self.ir.blocks):
+            if index == len(graphs):
+                graph = build_ddg(block, self._true_latency,
+                                  affine_alias=self.options.affine_alias)
+                graphs.append((graph, graph.priorities(self._true_latency)))
+            blocks.append(self._schedule_block(block, *graphs[index]))
         param_homes = [(vreg, self.home_loc[vreg.id])
                        for __, vreg in self.ir.params]
         return ScheduledThread(self.ir.name, blocks, param_homes,
@@ -433,7 +443,8 @@ class ThreadScheduler:
         return plan
 
     def schedule(self):
-        first = self._run_all()
+        graphs = []
+        first = self._run_all(graphs)
         if self._home_plan is not None or not self.options.two_pass_homes:
             return first
         plan = self._revised_home_plan()
@@ -442,4 +453,4 @@ class ThreadScheduler:
         second = ThreadScheduler(self.ir, self.config, self.spec,
                                  self.live_in, home_plan=plan,
                                  options=self.options)
-        return second._run_all()
+        return second._run_all(graphs)
