@@ -245,7 +245,12 @@ class DataSegment:
 
 
 class Program:
-    """A complete executable: thread programs plus initial memory."""
+    """A complete executable: thread programs plus initial memory.
+
+    Do not mutate a program after its first run: the simulator keeps
+    its decoded words and compiled superblocks for later runs of the
+    same object (:func:`repro.sim.predecode.decode_program`).
+    """
 
     def __init__(self, main="main"):
         self.threads = {}

@@ -98,11 +98,15 @@ class EventNode(Node):
         # completes in phase 1/2 of cycle C is *always* granted in
         # phase 3 of the same cycle (nothing reads presence bits in
         # between), so completions can commit registers directly and
-        # skip the writeback buffers entirely.  (Two same-cycle writes
-        # to one register would land in unit-table order under the scan
-        # kernel and in phase order here, but that WAW race is a
-        # scheduling bug the compiler's presence-bit discipline never
-        # emits.)
+        # skip the writeback buffers entirely.  The scan kernel would
+        # land two same-cycle writes to one register in unit-table
+        # order and this path in phase order, but no such pair can
+        # exist: every plan waits on its destinations as well as its
+        # sources (``SlotPlan.wait_groups``; the scan kernel's
+        # ``sources_ready``), and issue invalidates the destinations
+        # before the next slot is checked, so a thread never has more
+        # than one write in flight per register, whatever the compiler
+        # emits.
         self._direct_wb = (self.network.unrestricted
                            and self.injector is None)
         self._use_opcache = config.op_cache is not None

@@ -12,12 +12,15 @@ node's unit table.  The per-cycle path then touches only plain
 attributes, ints, and tuples.
 
 Plans are immutable after decoding and are shared freely between a
-node, its snapshots, and restored copies.  They deliberately reference
-the original ``Operation`` objects (``plan.op``) so observers, memory
-requests, and diagnostics show the exact objects the scan kernel would.
+node, its snapshots, restored copies, and every later run of the same
+program on the same unit layout (see :func:`decode_program`).  They
+deliberately reference the original ``Operation`` objects
+(``plan.op``) so observers, memory requests, and diagnostics show the
+exact objects the scan kernel would.
 """
 
 import math
+import weakref
 from heapq import heappop, heappush
 
 from ..errors import SimulationError
@@ -271,6 +274,18 @@ class DecodedThread:
         self.blocks = blocks
 
 
+#: Load-time work shared between runs, per program.  The key is the
+#: ``Program`` itself, held weakly, so an entry lives exactly as long as
+#: its program.  The value maps (layout, thread name) to the thread's
+#: ``WordPlan`` tuple, and (layout, run signature, thread name) to its
+#: compiled superblock code: entry ip -> template :class:`BlockPlan`,
+#: or None for an entry with no run worth fusing.  ``layout`` is the
+#: unit-index mapping as a tuple.  No value references the program
+#: (plans hold its ``Operation`` objects, never the program), or the
+#: weak entry would never die.
+_SHARED = weakref.WeakKeyDictionary()
+
+
 def decode_program(program, unit_index, config=None):
     """Predecode every thread of ``program``.
 
@@ -281,25 +296,47 @@ def decode_program(program, unit_index, config=None):
     machine (every uid present, no empty words).
 
     When ``config`` is given and its ``fusion`` toggle is on, each
-    thread's straight-line runs are additionally compiled into
-    :class:`BlockPlan` superblocks (see :func:`compile_blocks`).
+    thread also gets a :class:`BlockTable` that compiles its hot
+    straight-line runs into :class:`BlockPlan` superblocks.
+
+    Word plans and compiled superblock code depend only on the
+    program, the unit layout and (for code) ``config.run_signature()``,
+    so they are decoded once and shared by every later call with the
+    same program: peeled batch lanes, shadow nodes, repeated harness
+    runs.  Each call still returns fresh ``DecodedThread`` and
+    ``BlockTable`` objects, so warm-up heat, quarantine tombstones and
+    the block handles the kernel dispatches stay per run.  A program
+    must therefore not be mutated after its first run.
     """
+    shared = _SHARED.setdefault(program, {})
+    layout = tuple(unit_index.items())
     fuse = config is not None and getattr(config, "fusion", True)
+    signature = config.run_signature() if fuse else None
     decoded = {}
     for name, thread_program in program.threads.items():
-        words = []
-        for index, word in enumerate(thread_program.instructions):
-            plans = [SlotPlan(uid, unit_index[uid], op, thread_program)
-                     for uid, op in word.slots.items()]
-            if not plans:
-                raise SimulationError("thread %r word %d is empty"
-                                      % (name, index))
-            words.append(WordPlan(plans))
+        words = shared.get((layout, name))
+        if words is None:
+            words = shared[layout, name] = _decode_words(
+                name, thread_program, unit_index)
         thread = DecodedThread(name, words)
         if fuse:
-            thread.blocks = compile_blocks(thread, config)
+            thread.blocks = BlockTable(
+                thread, config,
+                shared.setdefault((layout, signature, name), {}))
         decoded[name] = thread
     return decoded
+
+
+def _decode_words(name, thread_program, unit_index):
+    words = []
+    for index, word in enumerate(thread_program.instructions):
+        plans = [SlotPlan(uid, unit_index[uid], op, thread_program)
+                 for uid, op in word.slots.items()]
+        if not plans:
+            raise SimulationError("thread %r word %d is empty"
+                                  % (name, index))
+        words.append(WordPlan(plans))
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +347,13 @@ def decode_program(program, unit_index, config=None):
 # no branch-unit slots except an optional terminal one, no
 # synchronizing or miss-capable memory operations — whose intra-run
 # dependences the static scheduler below can resolve exactly.  Each run
-# is compiled, at decode time, into one specialized Python closure (a
-# :class:`BlockPlan`) that replays the event kernel's entire
+# is compiled, once its entry is hot, into one specialized Python
+# closure (a :class:`BlockPlan`) that replays the event kernel's entire
 # cycle-by-cycle execution of the run in a single call: operand flow
 # through flat SSA locals, per-run cycle cost precomputed, statistics
-# and memory effects committed in bulk.
+# and memory effects committed in bulk.  The compiled code is shared by
+# every later run of the program on the same machine (see
+# :class:`BlockTable`).
 #
 # The closure is only entered when the kernel's guards hold (single
 # runnable thread, fully connected interconnect, no fault plan, every
@@ -378,6 +417,13 @@ class BlockPlan:
         self.cache_checks = cache_checks
         self.fn = fn
         self.source = source
+
+    def handle(self):
+        """A copy for one run.  Rewrapping the copy's ``fn`` (tracers,
+        tests) cannot reach the shared template it came from."""
+        return BlockPlan(self.entry_ip, self.word_ips, self.n_plans,
+                         self.n_ops, self.last_rel, self.cache_checks,
+                         self.fn, self.source)
 
 
 class _Rec:
@@ -454,28 +500,38 @@ _WARMUP_DISPATCHES = 16
 
 
 class BlockTable:
-    """Lazy superblock compiler for one decoded thread.
+    """Lazy superblock compiler for one decoded thread, in one run.
 
-    Entry points are discovered eagerly (cheap), but a run is scheduled
-    and compiled only once the kernel has dispatched at its entry
-    :data:`_WARMUP_DISPATCHES` times — most entries are never reached
-    with the machine in a fusible state (or reached exactly once), and
-    eager compilation was measurably slower than interpreting short
-    benchmarks outright.  Compilation is deterministic, so the cache
-    can be shared freely between a node, its snapshots, and restored
-    copies; pickling drops the cache and recompiles on demand (closures
-    do not cross process boundaries).
+    Entry points are discovered on first dispatch (cheap), but a run is
+    scheduled and compiled only once the kernel has dispatched at its
+    entry :data:`_WARMUP_DISPATCHES` times — most entries are never
+    reached with the machine in a fusible state (or reached exactly
+    once), and eager compilation was measurably slower than
+    interpreting short benchmarks outright.
+
+    Compiled code lives in ``code``, a dict of entry ip -> template
+    :class:`BlockPlan` (or None: no run worth fusing) that
+    :func:`decode_program` shares between every run of the program
+    with the same unit layout and run signature; compilation is
+    deterministic, so a later run's warmed-up entry is a lookup.  The
+    templates never leave that dict: :meth:`get` returns a per-table
+    :meth:`BlockPlan.handle`.  Heat, handles and quarantine tombstones
+    are this table's own, and the table itself is shared between a
+    node, its snapshots, and restored copies.  Pickling drops both the
+    handles and the shared code and recompiles on demand (closures do
+    not cross process boundaries).
     """
 
     __slots__ = ("_decoded", "_config", "_entries", "_mem_ok", "_cache",
-                 "_heat")
+                 "_heat", "_code")
 
-    def __init__(self, decoded, config):
+    def __init__(self, decoded, config, code=None):
         # Nothing here may touch ``decoded``: it is mid-reconstruction
         # when a pickle rebuilds the decoded-thread <-> block-table
         # cycle.  Entry discovery happens on first dispatch instead.
         self._decoded = decoded
         self._config = config
+        self._code = {} if code is None else code
         self._mem_ok = None
         self._entries = None
         self._cache = {}
@@ -495,18 +551,23 @@ class BlockTable:
         if heat < _WARMUP_DISPATCHES:
             self._heat[ip] = heat
             return None
-        block = None
-        words = self._decoded.words
-        if ip < len(words):
-            run = _build_run(words, ip, self._mem_ok)
-            if run is not None:
-                block = _compile_run(self._decoded.name, ip, run,
-                                     self._config)
+        template = self._code.get(ip, False)
+        if template is False:
+            template = None
+            words = self._decoded.words
+            if ip < len(words):
+                run = _build_run(words, ip, self._mem_ok)
+                if run is not None:
+                    template = _compile_run(self._decoded.name, ip, run,
+                                            self._config)
+            self._code[ip] = template
+        block = template.handle() if template is not None else None
         self._cache[ip] = block
         return block
 
     def compiled_blocks(self):
-        """The blocks compiled so far (diagnostics and tests)."""
+        """The block handles this table has returned so far
+        (diagnostics and tests)."""
         return {ip: block for ip, block in self._cache.items()
                 if block is not None}
 
@@ -517,9 +578,11 @@ class BlockTable:
         hot path (the same lookup that would have found the block finds
         the tombstone) and — because snapshots share the table — it
         survives the sanitizer's rollback/restore cycle without being
-        re-applied.  Pickling still drops it along with the rest of the
-        cache: a replayed bundle re-detects and re-quarantines, which
-        is exactly what a reproducer is for.
+        re-applied.  The tombstone is this table's alone: the shared
+        code keeps its template for other runs.  Pickling still drops
+        it along with the rest of the cache: a replayed bundle
+        re-detects and re-quarantines, which is exactly what a
+        reproducer is for.
         """
         self._cache[ip] = None
         self._heat.pop(ip, None)
@@ -531,12 +594,6 @@ class BlockTable:
 
     def __reduce__(self):
         return (BlockTable, (self._decoded, self._config))
-
-
-def compile_blocks(decoded, config):
-    """A lazy :class:`BlockTable` over every fusible run of
-    ``decoded``, keyed by entry word index."""
-    return BlockTable(decoded, config)
 
 
 def _int_src(src):

@@ -960,25 +960,23 @@ def _run_shadowed(program, config, overrides, max_cycles,
     primary._dispatch_log = dispatch_log
     quarantined = set()
     defused = False
-    p_started = s_started = False
 
-    def step(node, bound, started):
-        if started:
-            return node.resume(max_cycles=max_cycles,
-                               watchdog_cycles=watchdog_cycles,
-                               pause_at=bound)
-        return node.run(program, overrides=overrides,
-                        max_cycles=max_cycles,
-                        watchdog_cycles=watchdog_cycles, pause_at=bound)
+    def step(node, bound):
+        return node.resume(max_cycles=max_cycles,
+                           watchdog_cycles=watchdog_cycles, pause_at=bound)
 
+    # Load the program and run one cycle on both nodes before the first
+    # snapshot, so every rollback (and every bundle) resumes a loaded
+    # machine.  A fresh node dispatches no superblock before warm-up,
+    # so this cycle cannot trip.
+    rp, rs = (node.run(program, overrides=overrides, max_cycles=max_cycles,
+                       watchdog_cycles=watchdog_cycles, pause_at=1)
+              for node in (primary, shadow))
     if tamper is not None:
-        rp = step(primary, 1, False)
-        rs = step(shadow, 1, False)
-        p_started = s_started = True
         tamper(primary)
-        if rp is not None and rs is not None:
-            rp.sanitizer = summary
-            return rp
+    if rp is not None and rs is not None:
+        rp.sanitizer = summary
+        return rp
 
     while True:
         last_good = primary.snapshot()
@@ -988,15 +986,13 @@ def _run_shadowed(program, config, overrides, max_cycles,
         rp = rs = None
         p_exc = s_exc = None
         try:
-            rp = step(primary, boundary, p_started)
+            rp = step(primary, boundary)
         except SimulationError as exc:
             p_exc = exc
-        p_started = True
         try:
-            rs = step(shadow, boundary, s_started)
+            rs = step(shadow, boundary)
         except SimulationError as exc:
             s_exc = exc
-        s_started = True
         summary.shadow_checks += 1
         if p_exc is None and s_exc is None:
             mismatch = diff_components(primary, shadow)

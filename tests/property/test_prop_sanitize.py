@@ -12,7 +12,7 @@ import pytest
 from repro import compile_program
 from repro.machine import baseline
 from repro.programs import get_benchmark
-from repro.sim import run_program
+from repro.sim import predecode, run_program
 from repro.sim.sanitize import SanitizerPolicy, replay_bundle, run_sanitized
 
 #: Cells covering ST fusion (lud/seq), MT interleaved fusion
@@ -126,6 +126,46 @@ class TestMiscompiledBlock:
         assert verdict["kind"] == "divergence"
         assert verdict["reproduced"] is False
         assert any("not reproduced" in line for line in lines)
+
+
+def test_trip_in_first_window_resumes_a_loaded_snapshot(monkeypatch,
+                                                        tmp_path):
+    """Every superblock this fresh program compiles also corrupts
+    memory word 0, so the shadow tier trips inside its first window.
+    Its last good snapshot must already hold the loaded program: the
+    rollback resumes it, the run finishes bit-identical to the unfused
+    kernel, and the bundle replays."""
+    bench, compiled, config, inputs = _cell("lud", "seq")
+    reference = run_program(compiled.program, config.with_fusion(False),
+                            overrides=inputs)
+    compile_run = predecode._compile_run
+
+    def miscompile(*args):
+        block = compile_run(*args)
+        real = block.fn
+
+        def corrupt(node, thread, cycle):
+            out = real(node, thread, cycle)
+            values = node.memory._values
+            values[0] = values.get(0, 0) + 999
+            return out
+
+        block.fn = corrupt
+        return block
+
+    monkeypatch.setattr(predecode, "_compile_run", miscompile)
+    policy = SanitizerPolicy(level="shadow", report_dir=str(tmp_path))
+    result = run_sanitized(compiled.program, config, overrides=inputs,
+                           policy=policy)
+    assert result.sanitizer.trips >= 1
+    assert result.cycles == reference.cycles
+    assert result.memory._values == reference.memory._values
+    assert result.stats.summary() == reference.stats.summary()
+    # The restored snapshot recompiles its blocks through the same
+    # miscompiling hook, so the divergence reproduces.
+    verdict = replay_bundle(result.sanitizer.reports[0], out=[].append)
+    assert verdict["kind"] == "divergence"
+    assert verdict["reproduced"] is True
 
 
 def test_shadow_mode_without_fusion_still_audits():

@@ -7,6 +7,7 @@ from repro.isa import asmtext
 from repro.machine import baseline, single_cluster
 from repro.machine.memory import MemorySpec
 from repro.sim import Node, run_program
+from repro.sim.trace import TraceRecorder
 
 
 def run_asm(text, config=None, **kwargs):
@@ -252,3 +253,32 @@ class TestWAWInterlock:
 { c4.bru0: halt }
 """, config=config)
         assert result.read_symbol("out") == [10]
+
+    @pytest.mark.parametrize("engine", ["scan", "event"])
+    def test_same_word_writes_serialize_on_full_interconnect(self, engine):
+        """Two slots of one word write c0.r0 and the next word writes
+        it again.  Each write waits for the one before it to land, so
+        no register ever has two writes in flight: the direct-writeback
+        path cannot meet a same-cycle WAW pair."""
+        source = """
+.symbol out 1 full
+.thread main
+{
+  c0.iu0: iadd c0.r0, #1, #1
+  c1.iu0: iadd c0.r0, #5, #5
+}
+{ c0.iu0: iadd c0.r0, #7, #7 }
+{ c0.mem0: st c0.r0, #0, #0 }
+{ c4.bru0: halt }
+"""
+        config = baseline().with_interconnect("full")
+        recorder = TraceRecorder()
+        result = run_asm(source, config=config.with_engine(engine),
+                         observer=recorder)
+        assert [event.cycle for event in recorder.issues
+                if event.op == "iadd"] == [0, 1, 2]
+        assert result.read_symbol("out") == [14]
+        other = run_asm(source, config=config.with_engine(
+            "event" if engine == "scan" else "scan"))
+        assert result.cycles == other.cycles
+        assert result.stats.summary() == other.stats.summary()
