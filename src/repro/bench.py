@@ -1,32 +1,26 @@
 """``repro bench``: the performance trajectory of the simulator itself.
 
-Runs the paper suite (benchmark x mode on the baseline machine),
-records wall-clock seconds, simulated cycles, and cycles/second per
-cell, and writes ``BENCH_<YYYYMMDD>.json`` — one point on the repo's
-performance trajectory.  Compare files across commits to see whether
-the simulator is getting faster.
+Runs the paper suite (benchmark x mode on the baseline machine) on the
+event kernel, records wall-clock seconds, simulated cycles, and
+cycles/second per cell, and writes ``BENCH_<YYYYMMDD>.json``.
 
 ::
 
     python -m repro bench                  # full suite, serial
     python -m repro bench --quick          # CI smoke subset
     python -m repro bench --workers 4      # process-pool fan-out
-    python -m repro bench --no-fast-forward  # disable skip-ahead
-    python -m repro bench --engine scan    # force the scan kernel
     python -m repro bench --no-fusion      # event kernel, superblocks off
-    python -m repro bench --compare BENCH_20260806.json   # regression gate
+    python -m repro bench --compare BENCH_20260806.json   # cycle gate
     python -m repro bench --workers 4 --cell-timeout 120 \
         --on-error collect --resume        # supervised, resumable sweep
 
-``--compare`` checks the fresh run against a recorded trajectory
-point: any simulated-cycle drift on a shared cell is an error (the
-simulator's architectural behavior changed), and an aggregate
-throughput drop beyond ``--regression-threshold`` (default 20%) fails
-the run.  The exit status is non-zero on either, so CI can gate on it.
-It also prints a per-cell throughput delta table (worst regression
-first) and warns — without failing — when the two reports were taken
-under different kernels, since cross-engine throughput comparisons
-measure the engines, not the commit.
+``--compare`` checks the fresh run against a recorded report: any
+simulated-cycle drift on a shared cell is an error (the simulator's
+architectural behavior changed), and so is a cell the reference
+measured but the fresh run collected as failed.  The exit status is
+non-zero on either, so CI can gate on it.  Throughput is not compared:
+wall clock recorded on another day measures the host as much as the
+commit, so speed is measured by perfbench's paired runs on one host.
 
 Sweeps run under the supervised harness: ``--on-error collect``
 isolates cell failures instead of aborting, ``--cell-timeout S``
@@ -52,8 +46,7 @@ keep the exact cell keys older references used)::
       "suite": "full" | "quick",
       "workers": N,
       "seed": N,
-      "fast_forward": bool,
-      "engine": "event" | "scan",
+      "engine": "event",
       "fusion": bool,               # superblock fusion (event kernel)
       "sanitize": "off" | "audit" | "shadow" | "deep",
       "backend": "pool" | "batch",  # sweep execution backend
@@ -94,7 +87,6 @@ import time
 from .experiments.paper import MODE_ORDER
 from .experiments.runner import Harness, RunSpec
 from .machine import baseline
-from .machine.config import ENGINES
 from .programs import get_benchmark
 from .programs.suite import BENCHMARK_ORDER
 
@@ -211,17 +203,13 @@ def aggregate_cycles_per_sec(records):
     return cycles / wall if wall > 0 else 0.0
 
 
-def compare_reports(report, reference, threshold=0.2):
-    """Regression-gate ``report`` against a recorded ``reference``.
+def compare_reports(report, reference):
+    """Gate ``report``'s cycle counts against a recorded ``reference``.
 
-    Returns a list of problem strings (empty = pass).  Two checks, on
-    the cells the two reports share:
-
-    * *cycle drift* — simulated cycle counts must match exactly; both
-      kernels are required to be bit-identical, so any drift means the
-      simulator's architectural behavior changed.
-    * *throughput* — the aggregate cycles/sec over shared cells must
-      not fall more than ``threshold`` below the reference's.
+    Returns a list of problem strings (empty = pass).  Simulated cycle
+    counts must match exactly on every cell the two reports share:
+    every kernel is required to be bit-identical, so any drift means
+    the simulator's architectural behavior changed.
 
     Failed cells never raise a KeyError: a cell the reference measured
     but the current report collected as failed is reported as an
@@ -250,47 +238,7 @@ def compare_reports(report, reference, threshold=0.2):
             problems.append(
                 "%s/%s: simulated cycles drifted from %d to %d"
                 % (key[0], key[1], old["cycles"], new["cycles"]))
-    agg_new = aggregate_cycles_per_sec([current[k] for k in shared])
-    agg_old = aggregate_cycles_per_sec([recorded[k] for k in shared])
-    if agg_old > 0 and agg_new < agg_old * (1.0 - threshold):
-        problems.append(
-            "throughput regression: %.0f cycles/sec vs %.0f recorded "
-            "(%.0f%% drop > %.0f%% threshold)"
-            % (agg_new, agg_old, 100.0 * (1.0 - agg_new / agg_old),
-               100.0 * threshold))
     return problems
-
-
-def delta_table(report, reference):
-    """Per-cell throughput deltas against a reference report, worst
-    regression first.  Returns display lines (empty when the reports
-    share no cells)."""
-    current = {_cell_key(r): r for r in _measured(report["results"])}
-    recorded = {_cell_key(r): r
-                for r in _measured(reference["results"])}
-    rows = []
-    for key in recorded:
-        if key not in current:
-            continue
-        # Cells without a real wall-clock measurement on either side
-        # (journal-replayed, wall_s 0.0) have no meaningful
-        # throughput; a delta against them is noise.
-        if recorded[key].get("wall_s", 0.0) <= 0.0 \
-                or current[key].get("wall_s", 0.0) <= 0.0:
-            continue
-        old = recorded[key].get("cycles_per_sec", 0.0)
-        new = current[key].get("cycles_per_sec", 0.0)
-        delta = 100.0 * (new - old) / old if old > 0 else 0.0
-        rows.append((delta, key[0], key[1], old, new))
-    if not rows:
-        return []
-    rows.sort(key=lambda row: row[0])
-    lines = ["%-10s %-8s %12s %12s %8s"
-             % ("benchmark", "mode", "old c/s", "new c/s", "delta")]
-    for delta, benchmark, mode, old, new in rows:
-        lines.append("%-10s %-8s %12.0f %12.0f %+7.1f%%"
-                     % (benchmark, mode, old, new, delta))
-    return lines
 
 
 def bench_filename(date=None):
@@ -300,10 +248,10 @@ def bench_filename(date=None):
 
 def render(report):
     """A human-readable digest of one bench report."""
-    lines = ["bench %s: suite=%s workers=%s fast_forward=%s engine=%s "
-             "fusion=%s backend=%s lanes=%s"
+    lines = ["bench %s: suite=%s workers=%s engine=%s fusion=%s "
+             "backend=%s lanes=%s"
              % (report["date"], report["suite"], report["workers"],
-                report["fast_forward"], report.get("engine", "scan"),
+                report.get("engine", "scan"),
                 "on" if report.get("fusion", True) else "off",
                 report.get("backend", "pool"),
                 report.get("lanes", 1))]
@@ -356,13 +304,8 @@ def main(argv=None, out=None):
                         help="input-data seed (default 1)")
     parser.add_argument("--no-check", action="store_true",
                         help="skip result validation against references")
-    parser.add_argument("--no-fast-forward", action="store_true",
-                        help="simulate every cycle (disable skip-ahead)")
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="disable the on-disk compile cache")
-    parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="simulator kernel (default: the machine "
-                             "default, %s)" % ENGINES[0])
     parser.add_argument("--no-fusion", action="store_true",
                         help="disable superblock fusion (event kernel "
                              "falls back to word-by-word dispatch)")
@@ -404,13 +347,9 @@ def main(argv=None, out=None):
                              "— an interrupted bench re-runs only the "
                              "remainder")
     parser.add_argument("--compare", metavar="BENCH_FILE",
-                        help="regression-gate against a recorded "
+                        help="gate against a recorded "
                              "BENCH_<date>.json; exits non-zero on "
-                             "cycle drift or throughput regression")
-    parser.add_argument("--regression-threshold", type=float, default=0.2,
-                        metavar="FRAC",
-                        help="allowed aggregate throughput drop for "
-                             "--compare (default 0.2 = 20%%)")
+                             "cycle drift or a failed cell")
     parser.add_argument("-o", "--output", metavar="PATH",
                         help="output path (default BENCH_<date>.json in "
                              "the current directory)")
@@ -430,12 +369,9 @@ def main(argv=None, out=None):
             reference = json.load(handle)
 
     config = baseline()
-    if args.engine is not None:
-        config = config.with_engine(args.engine)
     if args.no_fusion:
         config = config.with_fusion(False)
     harness = Harness(seed=args.seed, check=not args.no_check,
-                      fast_forward=not args.no_fast_forward,
                       compile_cache=False if args.no_compile_cache
                       else "auto", sanitize=args.sanitize)
     # lanes == 1 keeps specs seedless (seed=None = harness seed), so
@@ -469,7 +405,6 @@ def main(argv=None, out=None):
         "suite": "quick" if args.quick else "full",
         "workers": args.workers or 1,
         "seed": args.seed,
-        "fast_forward": not args.no_fast_forward,
         "engine": config.engine,
         "fusion": config.fusion,
         "sanitize": args.sanitize or "off",
@@ -489,24 +424,14 @@ def main(argv=None, out=None):
     out.write(render(report) + "\n")
     out.write("wrote %s\n" % os.path.abspath(path))
     if reference is not None:
-        ref_engine = reference.get("engine", "scan")
-        if ref_engine != report["engine"]:
-            out.write("warning: comparing %s-engine run against "
-                      "%s-engine reference %s; throughput deltas "
-                      "measure the kernels, not this commit\n"
-                      % (report["engine"], ref_engine, args.compare))
-        for line in delta_table(report, reference):
-            out.write(line + "\n")
-        problems = compare_reports(report, reference,
-                                   threshold=args.regression_threshold)
+        problems = compare_reports(report, reference)
         if problems:
             out.write("comparison against %s FAILED:\n" % args.compare)
             for problem in problems:
                 out.write("  " + problem + "\n")
             return 1
-        out.write("comparison against %s passed (no cycle drift, "
-                  "throughput within %.0f%%)\n"
-                  % (args.compare, 100 * args.regression_threshold))
+        out.write("comparison against %s passed (no cycle drift)\n"
+                  % args.compare)
     if failed:
         out.write("%d cell(s) FAILED (see report)\n" % len(failed))
         return 1

@@ -6,7 +6,8 @@
     python -m repro run prog.sexp --mode coupled --set A=1,2,3,4
     python -m repro run prog.s --asm --trace --window 60
     python -m repro run prog.sexp --profile 20   # cProfile hotspots
-    python -m repro run prog.sexp --engine scan  # force the scan kernel
+    python -m repro run prog.sexp --engine scan
+                                     # run the cycle-by-cycle reference kernel
     python -m repro run prog.sexp --sanitize shadow  # online sanitizer
     python -m repro replay sanitizer-reports/main-divergence-cycle4097
     python -m repro modes            # list machine modes

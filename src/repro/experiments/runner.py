@@ -108,21 +108,18 @@ class Harness:
     """Caches compilations (per machine signature) and simulations so
     the table/figure generators can share runs.
 
-    ``fast_forward`` toggles the simulator's skip-ahead fast path
-    (results are identical either way).  ``compile_cache`` controls the
-    persistent on-disk compile cache: the default uses
-    ``~/.cache/repro`` (or ``$REPRO_CACHE_DIR``; ``REPRO_NO_CACHE=1``
-    disables it), ``False``/``None`` disables it for this harness, and
-    a :class:`~repro.compiler.cache.CompileCache` instance is used
-    as-is.
+    ``compile_cache`` controls the persistent on-disk compile cache:
+    the default uses ``~/.cache/repro`` (or ``$REPRO_CACHE_DIR``;
+    ``REPRO_NO_CACHE=1`` disables it), ``False``/``None`` disables it
+    for this harness, and a :class:`~repro.compiler.cache.CompileCache`
+    instance is used as-is.
     """
 
     def __init__(self, seed=1, check=True, max_cycles=5_000_000,
-                 fast_forward=True, compile_cache="auto", sanitize=None):
+                 compile_cache="auto", sanitize=None):
         self.seed = seed
         self.check = check
         self.max_cycles = max_cycles
-        self.fast_forward = fast_forward
         self.sanitize = sanitize
         if compile_cache == "auto":
             compile_cache = default_cache()
@@ -194,7 +191,6 @@ class Harness:
         started = time.perf_counter()
         sim = run_program(compiled.program, config, overrides=inputs,
                           max_cycles=self.max_cycles,
-                          fast_forward=self.fast_forward,
                           sanitize=self.sanitize)
         wall_seconds = time.perf_counter() - started
         verified = True
@@ -421,8 +417,7 @@ class Harness:
                        for spec in bundle.lane_specs]
         started = time.perf_counter()
         outcome = run_batch(compiled.program, config, lane_inputs,
-                            max_cycles=self.max_cycles,
-                            fast_forward=self.fast_forward)
+                            max_cycles=self.max_cycles)
         # Lockstep lanes split the bundle's wall clock evenly: the
         # shared simulation did each lane's work simultaneously, and
         # an even split keeps wall-clock *sums* (aggregate
@@ -498,8 +493,7 @@ class Harness:
         not trip is bit-identical to a plain one, so sanitized and
         unsanitized sweeps may share a journal."""
         return {"seed": self.seed, "check": self.check,
-                "max_cycles": self.max_cycles,
-                "fast_forward": self.fast_forward}
+                "max_cycles": self.max_cycles}
 
     def _open_journal(self, journal):
         if journal is None or isinstance(journal, SweepJournal):
@@ -545,8 +539,8 @@ class Harness:
     def _worker_payload(self):
         cache_root = self.disk_cache.root if self.disk_cache is not None \
             else None
-        return (self.seed, self.check, self.max_cycles,
-                self.fast_forward, cache_root, self.sanitize)
+        return (self.seed, self.check, self.max_cycles, cache_root,
+                self.sanitize)
 
     def _absorb(self, key, result):
         """Merge one worker result into the run and compile caches."""
@@ -609,11 +603,10 @@ def _run_spec_in_worker(payload, spec):
     chaos hook fires only here — never in the parent — so the
     serial-fallback path completes cells whose workers always die."""
     chaos_if_requested(spec.benchmark, spec.mode)
-    seed, check, max_cycles, fast_forward, cache_root, sanitize = payload
+    seed, check, max_cycles, cache_root, sanitize = payload
     cache = CompileCache(cache_root) if cache_root is not None else None
     harness = Harness(seed=seed, check=check, max_cycles=max_cycles,
-                      fast_forward=fast_forward, compile_cache=cache,
-                      sanitize=sanitize)
+                      compile_cache=cache, sanitize=sanitize)
     if isinstance(spec, _BatchBundle):
         return harness._run_bundle(spec)
     return harness.run(spec.benchmark, spec.mode, spec.config, spec.tag,

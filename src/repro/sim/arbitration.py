@@ -12,9 +12,9 @@ two policies:
 
 Arbiters may carry state across cycles (the round-robin rotation
 counter), so a :class:`~repro.sim.node.Node` snapshot includes its
-arbiter.  ``advance(n)`` lets the simulator's skip-ahead fast path
-account for cycles it never simulates, keeping a fast-forwarded run
-bit-identical to a cycle-by-cycle one.
+arbiter.  ``advance(n)`` lets the event kernel's clock jump account
+for cycles it never simulates, keeping its run bit-identical to the
+scan kernel's cycle-by-cycle one.
 """
 
 import bisect
@@ -85,14 +85,14 @@ class RoundRobinArbiter:
         ``threads`` population.
 
         ``threads`` is the population *during the window* — the caller
-        (the fast-forward path) only jumps when no thread can act, so
-        the set cannot change mid-window.  The resume point needs no
-        stability before the window: the first scan position is found by
-        searching for the next tid >= ``_next`` in the *current* list,
-        the same self-healing lookup :meth:`order` does, so a population
-        that shrank or grew between the last scan and the jump resumes
-        exactly where repeated :meth:`order` calls would (regression:
-        ``test_advance_after_population_churn``)."""
+        (the event kernel's clock jump) only jumps when no thread can
+        act, so the set cannot change mid-window.  The resume point
+        needs no stability before the window: the first scan position is
+        found by searching for the next tid >= ``_next`` in the
+        *current* list, the same self-healing lookup :meth:`order` does,
+        so a population that shrank or grew between the last scan and
+        the jump resumes exactly where repeated :meth:`order` calls
+        would (regression: ``test_advance_after_population_churn``)."""
         tids = sorted(t.tid for t in threads)
         if cycles <= 0 or not tids:
             return

@@ -334,15 +334,14 @@ class BatchNode(EventNode):
 
     engine = "batch"
 
-    def __init__(self, config, lanes, observer=None, fast_forward=True):
+    def __init__(self, config, lanes, observer=None):
         global _KERNELS
         if np is None:
             raise SimulationError(
                 "batch backend requires numpy, which is unavailable")
         if _KERNELS is None:
             _KERNELS = _build_kernels()
-        super().__init__(config, observer=observer,
-                         fast_forward=fast_forward)
+        super().__init__(config, observer=observer)
         self._fusion = False
         self.lanes = int(lanes)
         self._live = set(range(self.lanes))
@@ -574,7 +573,7 @@ def merge_overrides(lane_overrides):
 
 
 def run_batch(program, config, lane_overrides, max_cycles=5_000_000,
-              fast_forward=True, watchdog_cycles=None):
+              watchdog_cycles=None):
     """Simulate ``len(lane_overrides)`` input variants of ``program``
     in lockstep; returns a :class:`BatchOutcome`.
 
@@ -588,7 +587,7 @@ def run_batch(program, config, lane_overrides, max_cycles=5_000_000,
     if lanes < 1:
         raise SimulationError("run_batch needs at least one lane")
     merged = merge_overrides(lane_overrides)
-    node = BatchNode(config, lanes, fast_forward=fast_forward)
+    node = BatchNode(config, lanes)
     try:
         node.run(program, overrides=merged, max_cycles=max_cycles,
                  watchdog_cycles=watchdog_cycles)

@@ -19,9 +19,9 @@ kernel (:class:`~repro.sim.node.Node`) but organizes the work around
   set its presence bits, and the writeback path unparks it.  Threads
   blocked on an operation-cache fill park with a timed wake.  Quiet
   stretches where every thread is parked are then jumped over wholesale
-  — the generalization of the scan kernel's ``_skip_target`` fast path,
-  with the same clamps so watchdog/pause/max-cycle checks fire on
-  exactly the same cycle.
+  to the next timed event, clamped so watchdog/pause/max-cycle checks
+  fire on exactly the cycle the scan kernel, which simulates every
+  cycle, reports them.
 
 Issue-side statistics are batched into flat counters and folded into
 :class:`~repro.sim.stats.Stats` when the loop exits (including via
@@ -79,8 +79,8 @@ class EventNode(Node):
 
     engine = "event"
 
-    def __init__(self, config, observer=None, fast_forward=True):
-        super().__init__(config, observer, fast_forward)
+    def __init__(self, config, observer=None):
+        super().__init__(config, observer)
         self._build_unit_table()
         self._decoded = None
         # Completion heap: (ready, unit_index, seq, thread, plan, payload).
@@ -146,6 +146,11 @@ class EventNode(Node):
         self._order = []
         self._order_tids = None
         self._order_dirty = True
+        # Clock-jump diagnostics (not part of Stats: jumping must leave
+        # every reported statistic bit-identical to the scan kernel's
+        # cycle-by-cycle run, so its own accounting lives on the node).
+        self.ffwd_jumps = 0
+        self.ffwd_cycles = 0
         self._reset_issue_counters()
 
     def _build_unit_table(self):
@@ -706,16 +711,15 @@ class EventNode(Node):
                        self.config.name))
             if pause_at is not None and cycle >= pause_at:
                 return None
-            if self.fast_forward and quiet and in_flight \
-                    and self._wb_count == 0 \
+            if quiet and in_flight and self._wb_count == 0 \
                     and not self._fault_stalled \
                     and (self.injector is None
                          or all(t.parked for t in self.active)):
                 # Every unparked thread was scanned and could not act;
                 # parked threads wait on their own timed or writeback
-                # events.  Jump to the next event, with the scan
-                # kernel's clamps so watchdog/pause/max-cycles fire on
-                # exactly the same cycle.
+                # events.  Jump to the next event, clamped so
+                # watchdog/pause/max-cycles fire on exactly the cycle
+                # the scan kernel reports.
                 wake = pipe[0][0] if pipe else None
                 event = memory.next_event_cycle()
                 if event is not None and (wake is None or event < wake):
@@ -1107,7 +1111,7 @@ class EventNode(Node):
 
     _SNAPSHOT_FIELDS = Node._SNAPSHOT_FIELDS + (
         "_pipe", "_pipe_seq", "_wake_heap", "_wb_count", "_adv_any",
-        "_decoded")
+        "_decoded", "ffwd_jumps", "ffwd_cycles")
 
     def _snapshot_memo(self):
         """Pin the predecoded plans too: they are immutable and shared

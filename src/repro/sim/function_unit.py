@@ -72,7 +72,3 @@ class FunctionUnitState:
 
     def busy(self):
         return bool(self._pipeline) or bool(self.writebacks)
-
-    def next_ready(self):
-        """Earliest cycle an in-flight operation completes, or None."""
-        return self._pipeline[0][0] if self._pipeline else None

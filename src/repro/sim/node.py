@@ -80,8 +80,9 @@ class SimResult:
 class Node:
     """One simulation of one program on one machine configuration.
 
-    This class is the *scan* kernel: every cycle it rescans all active
-    threads and units.  The event kernel
+    This class is the *scan* kernel, the reference the other kernels
+    must match bit for bit: every cycle it rescans all active threads
+    and units, and it never skips a cycle.  The event kernel
     (:class:`~repro.sim.event.EventNode`) subclasses it and overrides
     the hot loop; use :func:`make_node` (or :func:`run_program`) to get
     the kernel the configuration asks for.
@@ -90,10 +91,9 @@ class Node:
     MAX_THREADS = 4096
     engine = "scan"
 
-    def __init__(self, config, observer=None, fast_forward=True):
+    def __init__(self, config, observer=None):
         self.config = config
         self.observer = observer
-        self.fast_forward = bool(fast_forward)
         self.stats = Stats(unit_counts={kind.value: config.count(kind)
                                         for kind in UnitClass})
         self.rng = random.Random(config.seed)
@@ -124,11 +124,6 @@ class Node:
         self._last_progress = 0
         self._fault_stalled = False
         self._program = None
-        # Skip-ahead diagnostics (not part of Stats: the fast path must
-        # leave every reported statistic bit-identical to a
-        # cycle-by-cycle run, so its own accounting lives on the node).
-        self.ffwd_jumps = 0
-        self.ffwd_cycles = 0
         # Optional runtime invariant auditor (repro.sim.sanitize); not
         # snapshot state — the sanitize driver re-attaches it after a
         # restore.  The per-cycle cost when unset is one None test.
@@ -405,15 +400,14 @@ class Node:
                 raise self._watchdog_error(
                     "exceeded %d cycles (program %s on %s)"
                     % (max_cycles, self._program.main, self.config.name))
-            in_flight = (self._fault_stalled
-                         or self.memory.has_in_flight()
-                         or any(self.units[uid].busy()
-                                for uid in self.unit_order)
-                         or any(self.units[uid].opcache is not None
-                                and self.units[uid].opcache._fills
-                                for uid in self.unit_order))
             if issued == 0 and completed == 0 and wrote == 0 \
-                    and not in_flight:
+                    and not (self._fault_stalled
+                             or self.memory.has_in_flight()
+                             or any(self.units[uid].busy()
+                                    for uid in self.unit_order)
+                             or any(self.units[uid].opcache is not None
+                                    and self.units[uid].opcache._fills
+                                    for uid in self.unit_order)):
                 self._frozen += 1
                 if self._frozen >= 2:
                     self._raise_deadlock()
@@ -428,75 +422,8 @@ class Node:
                        self.config.name))
             if pause_at is not None and self.cycle >= pause_at:
                 return None
-            if self.fast_forward and issued == 0 and completed == 0 \
-                    and wrote == 0 and in_flight:
-                target = self._skip_target(max_cycles, watchdog_cycles,
-                                           pause_at)
-                if target is not None:
-                    # Every active thread is stalled until a timed event
-                    # (pipeline completion, memory reply, deferred
-                    # presence bit, or operation-cache fill): the
-                    # intervening cycles are provably empty, so jump the
-                    # clock instead of simulating them.  The arbiter is
-                    # advanced as if each skipped cycle had rotated.
-                    delta = target - self.cycle
-                    self.arbiter.advance(delta, self.active)
-                    self.cycle = target
-                    self.stats.cycles = self.cycle
-                    self.ffwd_jumps += 1
-                    self.ffwd_cycles += delta
         return SimResult(self.stats, self.memory, self._program,
                          self.config, self.finished + self.active)
-
-    def _skip_target(self, max_cycles, watchdog_cycles, pause_at):
-        """The cycle to fast-forward to, or None when skipping is not
-        provably safe.
-
-        Safe means: no fault plan is attached (fault windows open and
-        close on their own clock), no result is waiting for a
-        register-file port (writebacks retry — and can succeed — every
-        cycle), no thread can fetch a new instruction word, and every
-        pending operation is either missing a source presence bit
-        (which only a timed completion can set) or waiting out an
-        operation-cache fill with a known ready cycle.  The returned
-        target is clamped so the max-cycles, watchdog, and pause checks
-        still fire at exactly the cycle they would have in a
-        cycle-by-cycle run.
-        """
-        if self.injector is not None:
-            return None
-        for uid in self.unit_order:
-            if self.units[uid].writebacks:
-                return None
-        for thread in self.active:
-            if thread.word_done():
-                return None
-            for uid, op in thread.pending.items():
-                if not thread.sources_ready(op):
-                    continue
-                cache = self.units[uid].opcache
-                if cache is None or not cache.fill_pending(thread):
-                    return None     # ready op: could issue next cycle
-        wake = None
-        for uid in self.unit_order:
-            unit = self.units[uid]
-            for event in (unit.next_ready(),
-                          unit.opcache.next_fill_ready()
-                          if unit.opcache is not None else None):
-                if event is not None and (wake is None or event < wake):
-                    wake = event
-        event = self.memory.next_event_cycle()
-        if event is not None and (wake is None or event < wake):
-            wake = event
-        if wake is None:
-            return None             # nothing timed: let deadlock logic run
-        target = min(wake, max_cycles - 1)
-        if watchdog_cycles is not None:
-            target = min(target,
-                         self._last_progress + watchdog_cycles - 1)
-        if pause_at is not None:
-            target = min(target, pause_at - 1)
-        return target if target > self.cycle else None
 
     # -- diagnostics -------------------------------------------------------
 
@@ -622,8 +549,7 @@ class Node:
     _SNAPSHOT_FIELDS = ("stats", "rng", "units", "network", "memory",
                         "arbiter", "active", "finished", "_spawn_queue",
                         "_next_tid", "cycle", "_frozen", "_last_progress",
-                        "_program", "fast_forward", "ffwd_jumps",
-                        "ffwd_cycles")
+                        "_program")
 
     def _snapshot_memo(self):
         """Deepcopy memo pinning immutable/shared objects so snapshots
@@ -695,21 +621,17 @@ def node_class_for_engine(engine):
     raise ConfigError("unknown simulator engine %r" % (engine,))
 
 
-def make_node(config, observer=None, fast_forward=True):
+def make_node(config, observer=None):
     """Build a node running the kernel ``config.engine`` selects."""
     cls = node_class_for_engine(config.engine)
-    return cls(config, observer=observer, fast_forward=fast_forward)
+    return cls(config, observer=observer)
 
 
 def run_program(program, config, overrides=None, max_cycles=5_000_000,
-                observer=None, watchdog_cycles=None, fast_forward=True,
-                sanitize=None):
+                observer=None, watchdog_cycles=None, sanitize=None):
     """Convenience wrapper: simulate ``program`` on ``config`` with the
-    kernel ``config.engine`` selects.
-
-    ``fast_forward=False`` disables the skip-ahead fast path and
-    simulates every cycle (the results are identical either way; the
-    flag exists for differential testing and perf comparison).
+    kernel ``config.engine`` selects (``config.with_engine("scan")``
+    runs the cycle-by-cycle reference kernel).
 
     ``sanitize`` (a level name or :class:`~repro.sim.sanitize.
     SanitizerPolicy`) routes the run through the online state sanitizer
@@ -722,8 +644,7 @@ def run_program(program, config, overrides=None, max_cycles=5_000_000,
         return run_sanitized(program, config, overrides=overrides,
                              max_cycles=max_cycles,
                              watchdog_cycles=watchdog_cycles,
-                             fast_forward=fast_forward, observer=observer,
-                             policy=sanitize)
-    node = make_node(config, observer=observer, fast_forward=fast_forward)
+                             observer=observer, policy=sanitize)
+    node = make_node(config, observer=observer)
     return node.run(program, overrides=overrides, max_cycles=max_cycles,
                     watchdog_cycles=watchdog_cycles)

@@ -98,20 +98,13 @@ class OperationCache:
     def resident_words(self):
         return len(self._lines)
 
-    # -- skip-ahead support ---------------------------------------------
-
-    def fill_pending(self, thread):
-        """True when the thread's current word has a fill in progress."""
-        return (thread.program.name, thread.ip) in self._fills
+    # -- event-kernel support -------------------------------------------
 
     def fill_ready_cycle(self, thread):
         """The cycle the thread's in-progress fill completes, or None
         when no fill for its current word is in flight (event-kernel
         wake scheduling)."""
         return self._fills.get((thread.program.name, thread.ip))
-
-    def has_fills(self):
-        return bool(self._fills)
 
     def next_fill_ready(self):
         """Earliest ready cycle among in-progress fills, or None."""

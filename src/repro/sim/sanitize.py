@@ -863,8 +863,8 @@ def replay_bundle(path, out=None, max_cycles=None, trace=False):
 
 
 def run_sanitized(program, config, overrides=None, max_cycles=5_000_000,
-                  watchdog_cycles=None, fast_forward=True, observer=None,
-                  policy="audit", tamper=None):
+                  watchdog_cycles=None, observer=None, policy="audit",
+                  tamper=None):
     """Run ``program`` under the sanitizer; same contract and results
     as :func:`~repro.sim.node.run_program` unless a tier trips.
 
@@ -875,14 +875,12 @@ def run_sanitized(program, config, overrides=None, max_cycles=5_000_000,
     """
     policy = coerce_policy(policy)
     if policy is None:
-        node = make_node(config, observer=observer,
-                         fast_forward=fast_forward)
+        node = make_node(config, observer=observer)
         return node.run(program, overrides=overrides,
                         max_cycles=max_cycles,
                         watchdog_cycles=watchdog_cycles)
     summary = SanitizerSummary(level=policy.level)
-    primary = make_node(config, observer=observer,
-                        fast_forward=fast_forward)
+    primary = make_node(config, observer=observer)
     auditor = None
     if policy.wants_audit:
         auditor = InvariantAuditor(policy, summary)
@@ -901,8 +899,8 @@ def run_sanitized(program, config, overrides=None, max_cycles=5_000_000,
         result.sanitizer = summary
         return result
     return _run_shadowed(program, config, overrides, max_cycles,
-                         watchdog_cycles, fast_forward, observer,
-                         policy, summary, primary, auditor, tamper)
+                         watchdog_cycles, observer, policy, summary,
+                         primary, auditor, tamper)
 
 
 def _attach_invariant_bundle(exc, node, policy, summary, max_cycles,
@@ -951,10 +949,10 @@ def _restore_node(snap, config, observer=None):
 
 
 def _run_shadowed(program, config, overrides, max_cycles,
-                  watchdog_cycles, fast_forward, observer, policy,
-                  summary, primary, auditor, tamper):
+                  watchdog_cycles, observer, policy, summary, primary,
+                  auditor, tamper):
     shadow_config = config.with_fusion(False)
-    shadow = make_node(shadow_config, fast_forward=fast_forward)
+    shadow = make_node(shadow_config)
     stride = policy.shadow_stride
     dispatch_log = []
     primary._dispatch_log = dispatch_log

@@ -5,10 +5,12 @@ counts, the full statistics record, final memory contents, and
 presence bits.  Checked four ways (scan / event without fusion / event
 with fusion / one lane of a lockstep batch bundle) across every
 benchmark x mode cell, under fault injection, over restricted
-interconnects, with the skip-ahead fast path on or off, and through
-snapshot/restore round-trips taken mid-run (including mid-superblock,
-which must force de-fusion at the pause boundary).  TestBatchPeel
-additionally pins the peel discipline: lanes that diverge mid-run —
+interconnects, on a long-latency memory where the event kernel jumps
+the clock over a large share of cycles, and through snapshot/restore
+round-trips taken mid-run (including mid-superblock, which must force
+de-fusion at the pause boundary).  The scan kernel simulates every
+cycle, so every jump is checked against a cycle-by-cycle oracle.
+TestBatchPeel additionally pins the peel discipline: lanes that diverge mid-run —
 on branch direction, memory address, or a lane-local arithmetic trap,
 with or without a fault plan — peel off to the scalar kernel while
 every surviving lane stays bit-identical."""
@@ -17,7 +19,7 @@ import pytest
 
 from repro import compile_program
 from repro.experiments.paper import MODE_ORDER
-from repro.machine import baseline
+from repro.machine import baseline, mem2
 from repro.programs import get_benchmark
 from repro.programs.suite import BENCHMARK_ORDER
 from repro.sim import EventNode, FaultPlan, Node, make_node, run_program
@@ -40,20 +42,18 @@ ENGINES = (
 )
 
 
-def _batch_lane0(program, config, lane_inputs, fast_forward=True):
+def _batch_lane0(program, config, lane_inputs):
     """Run ``lane_inputs`` as one lockstep bundle and return lane 0's
     SimResult — re-run on the scalar kernel if lane 0 peeled (the same
     merge-back the harness performs), so the four-way comparison
     always has a batch-backend result to check."""
-    outcome = run_batch(program, config, lane_inputs,
-                        fast_forward=fast_forward)
+    outcome = run_batch(program, config, lane_inputs)
     if outcome.results[0] is not None:
         return outcome.results[0]
-    return run_program(program, config, overrides=lane_inputs[0],
-                       fast_forward=fast_forward)
+    return run_program(program, config, overrides=lane_inputs[0])
 
 
-def _run_all(benchmark, mode, mutate=None, fast_forward=True):
+def _run_all(benchmark, mode, mutate=None):
     bench = get_benchmark(benchmark)
     inputs = bench.make_inputs(1)
     config = baseline()
@@ -63,15 +63,14 @@ def _run_all(benchmark, mode, mutate=None, fast_forward=True):
     results = {}
     for name, select in ENGINES:
         results[name] = run_program(compiled.program, select(config),
-                                    overrides=inputs,
-                                    fast_forward=fast_forward)
+                                    overrides=inputs)
     # Fourth way: the same cell as lane 0 of a two-lane batch bundle
     # (lane 1 carries different input data, so the value plane really
     # is vectorized and any cross-lane contamination would surface).
     results["batch"] = _batch_lane0(
         compiled.program,
         config.with_engine("event").with_fusion(False),
-        [inputs, bench.make_inputs(2)], fast_forward=fast_forward)
+        [inputs, bench.make_inputs(2)])
     return results
 
 
@@ -131,12 +130,22 @@ def test_identical_under_restricted_interconnect(scheme):
         "matrix", "coupled", mutate=lambda c: c.with_interconnect(scheme)))
 
 
-def test_identical_without_fast_forward():
-    _assert_four_way(_run_all("matrix", "coupled", fast_forward=False))
-
-
-def test_identical_without_fast_forward_single_threaded():
-    _assert_four_way(_run_all("lud", "seq", fast_forward=False))
+@pytest.mark.parametrize("bench_name", BENCHMARK_ORDER)
+def test_identical_on_long_latency_memory(bench_name):
+    """Figure 7's ``mem2`` memory: long, random latencies leave the
+    coupled cells stalled for stretches the event kernel jumps over.
+    The jump must actually fire (or this case goes dormant) and land
+    every kernel on the scan kernel's cycle-by-cycle answer."""
+    _assert_four_way(_run_all(bench_name, "coupled",
+                              mutate=lambda c: c.with_memory(mem2())))
+    bench = get_benchmark(bench_name)
+    config = baseline().with_memory(mem2()).with_engine("event") \
+                       .with_fusion(False)
+    compiled = compile_program(bench.source("coupled"), config,
+                               mode="coupled")
+    node = make_node(config)
+    node.run(compiled.program, overrides=bench.make_inputs(1))
+    assert node.ffwd_jumps > 0
 
 
 def test_identical_under_round_robin_arbitration():

@@ -1,15 +1,15 @@
-"""Performance-layer properties: the parallel harness and the
-simulator's skip-ahead fast path are pure accelerations — neither may
-change a single reported number.
+"""Performance-layer properties: the parallel harness and the event
+kernel's clock jump are pure accelerations — neither may change a
+single reported number.
 
 * serial vs ``workers=4`` process-pool fan-out: identical cycle counts
   and statistics for every paper benchmark in coupled mode;
-* fast-forward on vs off: identical cycle counts and statistics, across
-  randomly drawn machine configurations (hypothesis).
+* the default (jumping) kernel vs the scan kernel, which simulates
+  every cycle: identical cycle counts and statistics, across randomly
+  drawn machine configurations (hypothesis).
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro import baseline, compile_program, run_program
@@ -47,15 +47,6 @@ class TestSerialParallelEquivalence:
 
 
 class TestFastForwardEquivalence:
-    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
-    def test_suite_identical_with_and_without_skip(self, name):
-        fast = Harness(fast_forward=True, compile_cache=False)
-        slow = Harness(fast_forward=False, compile_cache=False)
-        a = fast.run(name, "coupled")
-        b = slow.run(name, "coupled")
-        assert a.cycles == b.cycles
-        assert a.stats.summary() == b.stats.summary()
-
     @settings(max_examples=12, deadline=None)
     @given(
         hit_latency=st.integers(min_value=1, max_value=8),
@@ -78,10 +69,9 @@ class TestFastForwardEquivalence:
                 OpCacheSpec(capacity=8, fill_penalty=opcache_penalty))
         compiled = compile_program(THREADED_SOURCE, config,
                                    mode="coupled")
-        fast = run_program(compiled.program, config, overrides=INPUT,
-                           fast_forward=True)
-        slow = run_program(compiled.program, config, overrides=INPUT,
-                           fast_forward=False)
+        fast = run_program(compiled.program, config, overrides=INPUT)
+        slow = run_program(compiled.program, config.with_engine("scan"),
+                           overrides=INPUT)
         assert fast.cycles == slow.cycles
         assert fast.stats.summary() == slow.stats.summary()
         assert fast.read_symbol("B") == slow.read_symbol("B")

@@ -1,10 +1,11 @@
-"""The simulator's skip-ahead fast path (repro.sim.node).
+"""The event kernel's clock jump (repro.sim.event).
 
 When every active thread is stalled until a timed event — memory reply,
 pipeline completion, deferred presence bit, or operation-cache fill —
-the intervening cycles are provably empty and the node jumps the clock.
-Every test here checks the fast path against a cycle-by-cycle run:
-results, statistics, and boundary errors must be bit-identical.
+the intervening cycles are provably empty and the event kernel jumps
+the clock.  Every test here checks the jumping kernel against the scan
+kernel, which simulates every cycle: results, statistics, and boundary
+errors must be bit-identical.
 """
 
 import pytest
@@ -36,18 +37,19 @@ INPUT = {"A": [0.5, -1.5, 2.0, 3.25, -0.75, 4.5]}
 
 def slow_config():
     """High, deterministic memory latency: long provably-empty stalls,
-    so the fast path actually has cycles to skip."""
+    so the event kernel actually has cycles to jump."""
     spec = MemorySpec("slow", hit_latency=1, miss_rate=1.0,
                       miss_penalty_min=40, miss_penalty_max=40)
     return baseline().with_memory(spec)
 
 
 def pair(config, **kwargs):
+    """Run the default kernel and the scan kernel on ``config``."""
     compiled = compile_program(SOURCE, config, mode="coupled")
     fast = run_program(compiled.program, config, overrides=INPUT,
-                       fast_forward=True, **kwargs)
-    slow = run_program(compiled.program, config, overrides=INPUT,
-                       fast_forward=False, **kwargs)
+                       **kwargs)
+    slow = run_program(compiled.program, config.with_engine("scan"),
+                       overrides=INPUT, **kwargs)
     return compiled, fast, slow
 
 
@@ -61,17 +63,10 @@ class TestBitIdentity:
     def test_fast_path_actually_skips(self):
         config = slow_config()
         compiled = compile_program(SOURCE, config, mode="coupled")
-        node = Node(config, fast_forward=True)
+        node = make_node(config)
         node.run(compiled.program, overrides=INPUT)
         assert node.ffwd_jumps > 0
         assert node.ffwd_cycles > 0
-
-    def test_disabled_fast_path_never_skips(self):
-        config = slow_config()
-        compiled = compile_program(SOURCE, config, mode="coupled")
-        node = Node(config, fast_forward=False)
-        node.run(compiled.program, overrides=INPUT)
-        assert node.ffwd_jumps == 0 and node.ffwd_cycles == 0
 
     def test_identical_with_round_robin_arbitration(self):
         __, fast, slow = pair(slow_config()
@@ -87,28 +82,28 @@ class TestBitIdentity:
         assert fast.stats.summary() == slow.stats.summary()
 
     def test_identical_with_opcache_fills_event_engine(self):
-        # Regression: the event kernel's skip-ahead jump assembled its
-        # wake candidates from the pipeline heap, the memory system,
-        # and the wake queue only.  An in-flight operation-cache fill
-        # lives in none of them, yet it can pin a thread awake (a park
-        # vetoed by an arbitration loss, or a shared fill the thread
-        # did not start) — leaving the fill's completion as the only
-        # upcoming event.  Without the fill candidate the jump
-        # overshoots it; the fast-forwarded run must stay bit-identical
-        # and must still actually skip.
+        # Regression: the event kernel's jump assembled its wake
+        # candidates from the pipeline heap, the memory system, and the
+        # wake queue only.  An in-flight operation-cache fill lives in
+        # none of them, yet it can pin a thread awake (a park vetoed by
+        # an arbitration loss, or a shared fill the thread did not
+        # start) — leaving the fill's completion as the only upcoming
+        # event.  Without the fill candidate the jump overshoots it;
+        # the jumping run must stay bit-identical and must still
+        # actually jump.
         config = slow_config().with_engine("event").with_op_cache(
             OpCacheSpec(capacity=4, fill_penalty=9))
         compiled, fast, slow = pair(config)
         assert fast.cycles == slow.cycles
         assert fast.stats.summary() == slow.stats.summary()
         assert fast.read_symbol("B") == slow.read_symbol("B")
-        node = make_node(config, fast_forward=True)
+        node = make_node(config)
         node.run(compiled.program, overrides=INPUT)
         assert node.ffwd_jumps > 0
 
     def test_identical_with_statistical_memory(self):
         # Random latencies: quiet cycles draw nothing from the RNG, so
-        # the stream stays aligned across skips.
+        # the stream stays aligned across jumps.
         config = baseline().with_memory(MEMORY_MODELS["mem2"]()) \
                            .with_seed(7)
         __, fast, slow = pair(config)
@@ -117,17 +112,17 @@ class TestBitIdentity:
 
 
 class TestBoundaries:
-    """The skip target is clamped so max-cycles, watchdog, and pause
-    checks fire at exactly the cycle a cycle-by-cycle run reports."""
+    """The jump target is clamped so max-cycles, watchdog, and pause
+    checks fire at exactly the cycle the scan kernel reports."""
 
     def test_max_cycles_cut_at_same_cycle(self):
         config = slow_config()
         compiled = compile_program(SOURCE, config, mode="coupled")
         errors = []
-        for fast_forward in (True, False):
+        for kernel in (config, config.with_engine("scan")):
             with pytest.raises(WatchdogError) as info:
-                run_program(compiled.program, config, overrides=INPUT,
-                            fast_forward=fast_forward, max_cycles=100)
+                run_program(compiled.program, kernel, overrides=INPUT,
+                            max_cycles=100)
             errors.append(info.value)
         assert errors[0].cycle == errors[1].cycle == 100
 
@@ -137,10 +132,9 @@ class TestBoundaries:
         config = baseline().with_memory(spec)
         compiled = compile_program(SOURCE, config, mode="coupled")
         errors = []
-        for fast_forward in (True, False):
+        for kernel in (config, config.with_engine("scan")):
             with pytest.raises(WatchdogError) as info:
-                run_program(compiled.program, config, overrides=INPUT,
-                            fast_forward=fast_forward,
+                run_program(compiled.program, kernel, overrides=INPUT,
                             watchdog_cycles=60)
             errors.append(info.value)
         assert errors[0].cycle == errors[1].cycle
@@ -151,9 +145,10 @@ class TestBoundaries:
     def test_pause_resume_matches_uninterrupted(self):
         config = slow_config()
         compiled = compile_program(SOURCE, config, mode="coupled")
-        reference = run_program(compiled.program, config,
-                                overrides=INPUT, fast_forward=False)
-        node = Node(config, fast_forward=True)
+        reference = run_program(compiled.program,
+                                config.with_engine("scan"),
+                                overrides=INPUT)
+        node = make_node(config)
         paused = node.run(compiled.program, overrides=INPUT,
                           pause_at=reference.cycles // 2)
         assert paused is None
@@ -167,9 +162,10 @@ class TestBoundaries:
         # restored run must continue the rotation where it left off.
         config = slow_config().with_arbitration("round-robin")
         compiled = compile_program(SOURCE, config, mode="coupled")
-        reference = run_program(compiled.program, config,
-                                overrides=INPUT, fast_forward=False)
-        node = Node(config, fast_forward=True)
+        reference = run_program(compiled.program,
+                                config.with_engine("scan"),
+                                overrides=INPUT)
+        node = make_node(config)
         node.run(compiled.program, overrides=INPUT,
                  pause_at=reference.cycles // 3)
         result = Node.restore(node.snapshot()).resume()

@@ -106,8 +106,7 @@ class TestRunKeyDigest:
 
 
 class TestSweepJournal:
-    HEADER = {"seed": 1, "check": True, "max_cycles": 100,
-              "fast_forward": True}
+    HEADER = {"seed": 1, "check": True, "max_cycles": 100}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -129,6 +128,15 @@ class TestSweepJournal:
         other = dict(self.HEADER, seed=99)
         with pytest.raises(SweepJournalError):
             SweepJournal(path, other)
+
+    def test_retired_header_keys_ignored(self, tmp_path):
+        # Only the current header's keys are compared, so a journal
+        # whose header records a parameter the harness has since
+        # dropped still resumes.
+        path = tmp_path / "sweep.jsonl"
+        older = dict(self.HEADER, retired_knob=True)
+        SweepJournal(path, older).record_ok("k", {"cycles": 1})
+        assert SweepJournal(path, self.HEADER).completed("k") is not None
 
     def test_stale_report_schema_rejected_with_clear_message(
             self, tmp_path):
