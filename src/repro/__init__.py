@@ -29,8 +29,7 @@ from .errors import (AsmError, CellFailure, CellTimeoutError,
                      CompileError, ConfigError, DeadlockError,
                      FaultConfigError, InterpError, ReproError,
                      SimulationError, SweepJournalError,
-                     VerificationError, WatchdogError,
-                     WorkerCrashError)
+                     VerificationError, WatchdogError)
 from .machine import (MachineConfig, baseline, mem1, mem2, min_memory,
                       single_cluster, unit_mix)
 from .machine.interconnect import CommScheme
@@ -45,7 +44,7 @@ __all__ = [
     "AsmError", "CellFailure", "CellTimeoutError", "CompileError",
     "ConfigError", "DeadlockError", "FaultConfigError", "InterpError",
     "ReproError", "SimulationError", "SweepJournalError",
-    "VerificationError", "WatchdogError", "WorkerCrashError",
+    "VerificationError", "WatchdogError",
     "MachineConfig", "baseline", "mem1", "mem2", "min_memory",
     "single_cluster", "unit_mix", "CommScheme",
     "FaultEvent", "FaultInjector", "FaultPlan",

@@ -10,7 +10,7 @@ cycles/second per cell, and writes ``BENCH_<YYYYMMDD>.json``.
     python -m repro bench --quick          # CI smoke subset
     python -m repro bench --workers 4      # process-pool fan-out
     python -m repro bench --no-fusion      # event kernel, superblocks off
-    python -m repro bench --compare BENCH_20260806.json   # cycle gate
+    python -m repro bench -o new.json --compare old.json   # cycle gate
     python -m repro bench --workers 4 --cell-timeout 120 \
         --on-error collect --resume        # supervised, resumable sweep
 
@@ -31,10 +31,10 @@ execution").
 
 Output schema (version 5; every version bump so far is additive —
 version 2 added ``failed``, ``on_error``, ``cell_timeout``; version 3
-added per-cell ``fused_dispatches``, the superblock dispatch count the
-CI fusion leg gates on; version 4 added the run-level ``sanitize``
-level plus per-cell ``defuse_reasons`` and ``quarantined_blocks`` from
-the online state sanitizer; version 5 added the run-level ``backend``
+added per-cell ``fused_dispatches``, the superblock dispatch count;
+version 4 added the run-level ``sanitize`` level plus per-cell
+``defuse_reasons`` and ``quarantined_blocks`` from the online state
+sanitizer; version 5 added the run-level ``backend``
 and ``lanes`` plus per-cell ``backend``/``lanes``/``peeled_lanes``
 from the batch lane engine, and a per-cell ``seed`` — present only on
 cells whose spec overrode the harness seed, so single-seed reports
@@ -145,11 +145,8 @@ def run_suite(harness, specs, workers=None, on_error="raise",
             "cache_hit": result.cache_hit,
             "cycles_per_sec": round(result.cycles_per_second, 1),
             # Deliberately outside "stats": summary() stays
-            # digest-identical between fused and unfused runs, but the
-            # CI fusion leg needs the dispatch count to prove fusion
-            # actually fired on the cells it targets (and the sanitize
-            # and batch-sweep legs read the quarantine/de-fusion/lane
-            # counters the same way).
+            # digest-identical between fused and unfused runs, while
+            # these engine counters differ by kernel.
             "fused_dispatches":
                 getattr(result.stats, "fused_dispatches", 0),
             "defuse_reasons":

@@ -179,21 +179,6 @@ class CellTimeoutError(ReproError):
         self.timeout = timeout
 
 
-class WorkerCrashError(ReproError):
-    """A sweep worker process died (segfault, OOM kill, ...) while
-    executing a cell, and retries were exhausted."""
-
-    def __init__(self, benchmark, mode, attempts, cause=None):
-        super().__init__(
-            "%s/%s: worker process died (%d attempt(s)%s)"
-            % (benchmark, mode, attempts,
-               "; last error: %s" % cause if cause else ""))
-        self.benchmark = benchmark
-        self.mode = mode
-        self.attempts = attempts
-        self.cause = cause
-
-
 class SweepJournalError(ReproError):
     """A sweep journal cannot be used for resume: its header records
     different harness parameters (seed, cycle budget, ...) than the

@@ -58,6 +58,7 @@ def run(harness=None, config=None, rates=RATES, benchmarks=BENCHMARK_ORDER,
         harness.run_many(baseline_specs, workers=workers,
                          on_error=on_error)))
     fault_specs = []
+    fault_rates = []
     for benchmark, modes in per_benchmark.items():
         survivors = [baseline_results[(benchmark, mode)]
                      for mode in modes
@@ -77,15 +78,13 @@ def run(harness=None, config=None, rates=RATES, benchmarks=BENCHMARK_ORDER,
             plan = FaultPlan.random(fault_seed, config, rate=rate,
                                     horizon=horizon)
             fault_specs.extend(
-                RunSpec(benchmark, mode, config.with_faults(plan),
-                        tag=(benchmark, mode, "faults", rate,
-                             fault_seed, horizon))
+                RunSpec(benchmark, mode, config.with_faults(plan))
                 for mode in modes)
-    for spec, result in zip(fault_specs,
-                            harness.run_many(fault_specs,
-                                             workers=workers,
-                                             on_error=on_error)):
-        rate = spec.tag[3]
+            fault_rates.extend(rate for __ in modes)
+    for spec, rate, result in zip(fault_specs, fault_rates,
+                                  harness.run_many(fault_specs,
+                                                   workers=workers,
+                                                   on_error=on_error)):
         cells[(spec.benchmark, spec.mode, rate)] = \
             result.cycles if result.ok else FAILED
     return cells

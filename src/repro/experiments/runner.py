@@ -38,9 +38,7 @@ class RunSpec:
     """One (benchmark, mode, config) cell of a sweep grid.
 
     Picklable, so a batch of specs can fan out across processes.
-    ``config=None`` means the baseline machine; ``tag`` overrides the
-    run-cache key (rarely needed now that the key covers the full run
-    signature, but kept for explicit grouping).  ``seed`` overrides
+    ``config=None`` means the baseline machine.  ``seed`` overrides
     the harness input seed for this cell only (None = harness seed) —
     the *lane axis* of the batch backend: specs that differ solely in
     ``seed`` share one compiled program and one machine timing, so
@@ -50,7 +48,6 @@ class RunSpec:
     benchmark: str
     mode: str
     config: object = None
-    tag: object = None
     seed: object = None
 
 
@@ -164,22 +161,20 @@ class Harness:
         self._compiled[key] = compiled
         return compiled, hit
 
-    def _run_key(self, benchmark, mode, config, tag, seed=None):
+    def _run_key(self, benchmark, mode, config, seed=None):
         """The run-cache key.  Everything a simulation's outcome
         depends on participates: the full config run signature (which
         covers the fault plan, seed, op cache, arbitration, ...) plus
         the input seed (the spec override, defaulting to the harness
         seed — so seedless keys are unchanged from older journals) and
         cycle budget."""
-        if tag is not None:
-            return (benchmark, mode, tag)
         eff_seed = self.seed if seed is None else seed
         return (benchmark, mode, config.run_signature(), eff_seed,
                 self.max_cycles)
 
-    def run(self, benchmark, mode, config=None, tag=None, seed=None):
+    def run(self, benchmark, mode, config=None, seed=None):
         config = config or baseline()
-        key = self._run_key(benchmark, mode, config, tag, seed)
+        key = self._run_key(benchmark, mode, config, seed)
         if key in self._runs:
             return self._runs[key]
         bench = get_benchmark(benchmark)
@@ -220,7 +215,7 @@ class Harness:
         under supervision.
 
         ``specs`` is an iterable of :class:`RunSpec` or
-        ``(benchmark, mode[, config[, tag[, seed]]])`` tuples.
+        ``(benchmark, mode[, config[, seed]])`` tuples.
         ``workers`` <= 1 (or None) runs serially in-process; otherwise
         a process pool of that size is used and each worker's compile
         and run results are merged back into this harness's caches, so
@@ -228,8 +223,8 @@ class Harness:
         execution when process pools are unavailable.  Results come
         back in spec order and are bit-identical to a serial run.
 
-        ``backend="batch"`` additionally groups untagged specs that
-        share one compiled program and one machine timing — same
+        ``backend="batch"`` additionally groups specs that share one
+        compiled program and one machine timing — same
         (benchmark, mode, ``config.run_signature()``), differing only
         in input ``seed`` — into lockstep *lane bundles* executed by
         :mod:`repro.sim.batch`; groups of one fall back to the normal
@@ -278,8 +273,7 @@ class Harness:
                                             cell_timeout=cell_timeout,
                                             max_retries=retries)
         keyed = [(self._run_key(s.benchmark, s.mode,
-                                s.config or baseline(), s.tag, s.seed),
-                  s)
+                                s.config or baseline(), s.seed), s)
                  for s in specs]
         journal = self._open_journal(journal)
         if journal is not None:
@@ -350,7 +344,7 @@ class Harness:
         if isinstance(spec, _BatchBundle):
             return self._run_bundle(spec)
         return self.run(spec.benchmark, spec.mode, spec.config,
-                        spec.tag, spec.seed)
+                        spec.seed)
 
     def _run_serial(self, todo, policy, on_complete):
         """In-process sweep execution under the same failure policy
@@ -373,18 +367,14 @@ class Harness:
     # -- batch-lane bundles ----------------------------------------------
 
     def _plan_bundles(self, todo, on_error):
-        """Group the outstanding cells into lane bundles: untagged
-        specs sharing (benchmark, mode, run signature) — i.e. one
-        compiled program *and* one machine timing, differing only in
-        input seed — become one :class:`_BatchBundle` keyed by the
-        tuple of its lane keys; everything else (tagged specs,
-        singleton groups) keeps its plain per-cell entry."""
+        """Group the outstanding cells into lane bundles: specs sharing
+        (benchmark, mode, run signature) — i.e. one compiled program
+        *and* one machine timing, differing only in input seed —
+        become one :class:`_BatchBundle` keyed by the tuple of its
+        lane keys; singleton groups keep their plain per-cell entry."""
         groups = {}
         work = {}
         for key, spec in todo.items():
-            if spec.tag is not None:
-                work[key] = spec
-                continue
             config = spec.config or baseline()
             gkey = (spec.benchmark, spec.mode, config.run_signature())
             groups.setdefault(gkey, []).append((key, spec))
@@ -431,7 +421,7 @@ class Harness:
             try:
                 if sim is None:
                     rerun = self.run(spec.benchmark, spec.mode,
-                                     spec.config, spec.tag, spec.seed)
+                                     spec.config, spec.seed)
                     result = replace(rerun, backend="batch-peeled",
                                      lanes=outcome.lanes,
                                      peeled_lanes=peeled)
@@ -574,7 +564,7 @@ def _journal_record(result):
 
 
 class _BatchBundle:
-    """One schedulable lane bundle: ≥2 untagged specs sharing a
+    """One schedulable lane bundle: ≥2 specs sharing a
     compiled program and run signature, simulated in lockstep by
     :func:`repro.sim.batch.run_batch`.  Rides the supervisor (and the
     process pool) as a single cell — ``benchmark``/``mode`` are the
@@ -609,5 +599,4 @@ def _run_spec_in_worker(payload, spec):
                       compile_cache=cache, sanitize=sanitize)
     if isinstance(spec, _BatchBundle):
         return harness._run_bundle(spec)
-    return harness.run(spec.benchmark, spec.mode, spec.config, spec.tag,
-                       spec.seed)
+    return harness.run(spec.benchmark, spec.mode, spec.config, spec.seed)

@@ -134,61 +134,44 @@ class MachineConfig:
 
     # -- derivation ----------------------------------------------------
 
+    def _with(self, **changes):
+        """A copy of this config with ``changes`` replacing the
+        constructor arguments of the same names."""
+        args = dict(clusters=self.clusters, interconnect=self.interconnect,
+                    memory=self.memory, arbitration=self.arbitration,
+                    memory_size=self.memory_size, seed=self.seed,
+                    name=self.name, op_cache=self.op_cache,
+                    max_active_threads=self.max_active_threads,
+                    fault_plan=self.fault_plan, engine=self.engine,
+                    fusion=self.fusion)
+        args.update(changes)
+        return MachineConfig(**args)
+
     def with_interconnect(self, scheme):
-        return MachineConfig(self.clusters, scheme, self.memory,
-                             self.arbitration, self.memory_size, self.seed,
-                             name="%s/%s" % (self.name, CommScheme(scheme)),
-                             op_cache=self.op_cache,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=self.fault_plan, engine=self.engine,
-                             fusion=self.fusion)
+        return self._with(interconnect=scheme,
+                          name="%s/%s" % (self.name, CommScheme(scheme)))
 
     def with_memory(self, memory_spec):
-        return MachineConfig(self.clusters, self.interconnect, memory_spec,
-                             self.arbitration, self.memory_size, self.seed,
-                             name="%s/%s" % (self.name, memory_spec.name),
-                             op_cache=self.op_cache,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=self.fault_plan, engine=self.engine,
-                             fusion=self.fusion)
+        return self._with(memory=memory_spec,
+                          name="%s/%s" % (self.name, memory_spec.name))
 
     def with_arbitration(self, policy):
-        return MachineConfig(self.clusters, self.interconnect, self.memory,
-                             policy, self.memory_size, self.seed,
-                             name=self.name, op_cache=self.op_cache,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=self.fault_plan, engine=self.engine,
-                             fusion=self.fusion)
+        return self._with(arbitration=policy)
 
     def with_seed(self, seed):
-        return MachineConfig(self.clusters, self.interconnect, self.memory,
-                             self.arbitration, self.memory_size, seed,
-                             name=self.name, op_cache=self.op_cache,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=self.fault_plan, engine=self.engine,
-                             fusion=self.fusion)
+        return self._with(seed=seed)
 
     def with_op_cache(self, op_cache_spec):
         """Replace the paper's perfect-instruction-cache assumption
         with a finite per-unit operation cache (or None to restore)."""
-        return MachineConfig(self.clusters, self.interconnect, self.memory,
-                             self.arbitration, self.memory_size, self.seed,
-                             name=self.name, op_cache=op_cache_spec,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=self.fault_plan, engine=self.engine,
-                             fusion=self.fusion)
+        return self._with(op_cache=op_cache_spec)
 
     def with_max_active_threads(self, limit):
         """Bound the hardware active set (paper Section 2: "hardware is
         provided to sequence and synchronize a small number of active
         threads"); forks beyond the limit wait for a slot.  None
         restores the paper's unbounded assumption."""
-        return MachineConfig(self.clusters, self.interconnect, self.memory,
-                             self.arbitration, self.memory_size, self.seed,
-                             name=self.name, op_cache=self.op_cache,
-                             max_active_threads=limit,
-                             fault_plan=self.fault_plan, engine=self.engine,
-                             fusion=self.fusion)
+        return self._with(max_active_threads=limit)
 
     def with_faults(self, fault_plan):
         """Attach a fault-injection plan (``repro.sim.faults.FaultPlan``)
@@ -196,23 +179,13 @@ class MachineConfig:
         restores the paper's fault-free machine.  The compiler is
         unaffected — faults are a purely dynamic disturbance, which is
         exactly what runtime arbitration is supposed to absorb."""
-        return MachineConfig(self.clusters, self.interconnect, self.memory,
-                             self.arbitration, self.memory_size, self.seed,
-                             name=self.name, op_cache=self.op_cache,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=fault_plan, engine=self.engine,
-                             fusion=self.fusion)
+        return self._with(fault_plan=fault_plan)
 
     def with_engine(self, engine):
         """Select the simulator kernel (``"event"`` or ``"scan"``).
         Both kernels are bit-identical — the toggle exists for
         differential testing and perf comparison."""
-        return MachineConfig(self.clusters, self.interconnect, self.memory,
-                             self.arbitration, self.memory_size, self.seed,
-                             name=self.name, op_cache=self.op_cache,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=self.fault_plan, engine=engine,
-                             fusion=self.fusion)
+        return self._with(engine=engine)
 
     def with_fusion(self, fusion):
         """Toggle superblock fusion in the event kernel (see
@@ -221,12 +194,7 @@ class MachineConfig:
         to the interpreted path — so it is excluded from
         ``run_signature()`` and exists for differential testing and
         perf measurement."""
-        return MachineConfig(self.clusters, self.interconnect, self.memory,
-                             self.arbitration, self.memory_size, self.seed,
-                             name=self.name, op_cache=self.op_cache,
-                             max_active_threads=self.max_active_threads,
-                             fault_plan=self.fault_plan, engine=self.engine,
-                             fusion=fusion)
+        return self._with(fusion=fusion)
 
     def schedule_signature(self):
         """Hashable summary of everything the *compiler* depends on;

@@ -347,7 +347,6 @@ class BatchNode(EventNode):
         self._live = set(range(self.lanes))
         self._live_list = sorted(self._live)
         self.peeled = {}             # lane -> (reason, cycle)
-        self.stats.batch_lanes = self.lanes
 
     # -- peel bookkeeping ------------------------------------------------
 
@@ -362,7 +361,6 @@ class BatchNode(EventNode):
                 self._live.discard(lane)
                 self.peeled[lane] = (reason, cycle)
         self._live_list = sorted(self._live)
-        self.stats.batch_peeled_lanes = len(self.peeled)
         if not self._live_list:
             raise AllLanesPeeled()
 
@@ -374,7 +372,6 @@ class BatchNode(EventNode):
             self.peeled[lane] = (reason, cycle)
         self._live = set()
         self._live_list = []
-        self.stats.batch_peeled_lanes = len(self.peeled)
 
     def _vote(self, per_lane, reason):
         """Unanimity-or-peel over the live lanes: returns the majority
@@ -586,8 +583,8 @@ def run_batch(program, config, lane_overrides, max_cycles=5_000_000,
     lanes = len(lane_overrides)
     if lanes < 1:
         raise SimulationError("run_batch needs at least one lane")
-    merged = merge_overrides(lane_overrides)
     node = BatchNode(config, lanes)
+    merged = merge_overrides(lane_overrides)
     try:
         node.run(program, overrides=merged, max_cycles=max_cycles,
                  watchdog_cycles=watchdog_cycles)

@@ -16,8 +16,7 @@ from ..isa.operations import UnitClass
 #: excluded from any cross-engine equality check (the equivalence
 #: suite and the sanitizer's shadow digest both key off this tuple).
 ENGINE_STAT_FIELDS = ("fused_dispatches", "defuse_reasons",
-                      "quarantined_blocks", "batch_lanes",
-                      "batch_peeled_lanes")
+                      "quarantined_blocks")
 
 
 class Stats:
@@ -66,13 +65,6 @@ class Stats:
         # Superblock entries quarantined by the sanitizer (the count of
         # distinct (program, entry) pairs barred from dispatch).
         self.quarantined_blocks = 0
-        # Batch-lane engine bookkeeping (repro.sim.batch): how many
-        # sweep lanes shared this simulation and how many were peeled
-        # off to the scalar kernel mid-run.  Engine-only status, like
-        # fused_dispatches: absent from summary(), excluded from
-        # cross-kernel digests via ENGINE_STAT_FIELDS.
-        self.batch_lanes = 0
-        self.batch_peeled_lanes = 0
         self.threads_spawned = 0
         self.threads_finished = 0
         self.peak_active_threads = 0

@@ -107,10 +107,9 @@ class TestJournalResumeAfterKill:
         executed = []
         original = Harness.run
 
-        def counting_run(self, benchmark, mode, config=None, tag=None,
-                         seed=None):
+        def counting_run(self, benchmark, mode, config=None, seed=None):
             executed.append((benchmark, mode))
-            return original(self, benchmark, mode, config, tag, seed)
+            return original(self, benchmark, mode, config, seed)
 
         resumed_harness = _harness()
         resumed_harness.run = counting_run.__get__(resumed_harness)

@@ -169,6 +169,22 @@ def test_identical_with_operation_cache():
                                                      fill_penalty=4))))
 
 
+@pytest.mark.parametrize("bench_name,mode",
+                         [cell for cell in _cells()
+                          if cell[0] in ("lud", "model")])
+def test_superblocks_dispatch_on_lud_and_model(bench_name, mode):
+    """Fusion must fire on every cell of the two benchmarks where the
+    suite spends its cycles, on the machine ``repro bench`` runs: a
+    guard regression that turned it off would keep every equivalence
+    test green while losing the speedup."""
+    bench = get_benchmark(bench_name)
+    config = baseline()
+    compiled = compile_program(bench.source(mode), config, mode=mode)
+    result = run_program(compiled.program, config,
+                         overrides=bench.make_inputs(1))
+    assert result.stats.fused_dispatches > 0
+
+
 class TestInterleavedFusion:
     """The interleaved (multithreaded) superblock paths must actually
     fire on the cells they target — a guard regression that silently
@@ -535,8 +551,7 @@ class TestBatchPeel:
 
     def test_clean_cell_peels_nothing(self):
         """Dormancy check on a real benchmark cell: divergence-free
-        lanes must all finish in lockstep, with the lane counters on
-        the stats record and zero peels."""
+        lanes must all finish in lockstep with zero peels."""
         bench = get_benchmark("matrix")
         config = self._config()
         program = compile_program(bench.source("coupled"), config,
@@ -545,6 +560,3 @@ class TestBatchPeel:
         outcome = self._check_lanes(program, config, lane_inputs)
         assert not outcome.peeled
         assert outcome.lockstep_lanes == [0, 1, 2, 3]
-        stats = outcome.results[0].stats
-        assert stats.batch_lanes == 4
-        assert stats.batch_peeled_lanes == 0

@@ -98,14 +98,6 @@ def test_batch_marks_bundled_lanes():
         assert r.peeled_lanes < r.lanes
 
 
-def test_tagged_specs_never_bundle():
-    harness = Harness()
-    specs = [RunSpec("matrix", "coupled", tag="a", seed=1),
-             RunSpec("matrix", "coupled", tag="b", seed=2)]
-    got = harness.run_many(specs, backend="batch")
-    assert [r.backend for r in got] == ["scalar", "scalar"]
-
-
 def test_collect_reports_failures_per_lane():
     harness = Harness(max_cycles=30)     # every cell dies on budget
     got = harness.run_many(SPECS[:3], backend="batch",

@@ -274,16 +274,6 @@ class TestRunBatch:
         scalar = run_program(program, config, overrides=inputs)
         assert outcome.results[0].cycles == scalar.cycles
 
-    def test_stats_record_lane_counters(self):
-        program = _program()
-        config = _config()
-        outcome = run_batch(program, config,
-                            [{"A": [0.5, -1.5, 2.0, 3.25]},
-                             {"A": [1.0, 2.0, -0.5, 0.25]}])
-        stats = outcome.results[0].stats
-        assert stats.batch_lanes == 2
-        assert stats.batch_peeled_lanes == 0
-
     def test_shared_error_peels_everyone(self):
         program = _program()
         config = _config()
@@ -299,6 +289,15 @@ class TestRunBatch:
     def test_empty_bundle_rejected(self):
         with pytest.raises(SimulationError):
             run_batch(_program(), _config(), [])
+
+    def test_without_numpy_is_a_simulation_error(self, monkeypatch):
+        # Lanes that differ force merge_overrides to build a LaneVec,
+        # which needs numpy: the node must refuse before that happens.
+        monkeypatch.setattr("repro.sim.batch.np", None)
+        with pytest.raises(SimulationError, match="requires numpy"):
+            run_batch(_program(), _config(),
+                      [{"A": [0.5, -1.5, 2.0, 3.25]},
+                       {"A": [1.0, 2.0, -0.5, 0.25]}])
 
     def test_lane_result_refuses_peeled_lane(self):
         config = _config()

@@ -202,11 +202,10 @@ class TestSerialCollect:
         harness = Harness(compile_cache=False)
         original = Harness.run
 
-        def run(self, benchmark, mode, config=None, tag=None,
-                seed=None):
+        def run(self, benchmark, mode, config=None, seed=None):
             if (benchmark, mode) in fail_on:
                 raise WatchdogError("injected hang", cycle=1)
-            return original(self, benchmark, mode, config, tag, seed)
+            return original(self, benchmark, mode, config, seed)
 
         harness.run = run.__get__(harness)
         return harness
@@ -295,10 +294,9 @@ class TestJournalResume:
         executed = []
         original = Harness.run
 
-        def counting_run(self, benchmark, mode, config=None, tag=None,
-                         seed=None):
+        def counting_run(self, benchmark, mode, config=None, seed=None):
             executed.append((benchmark, mode))
-            return original(self, benchmark, mode, config, tag, seed)
+            return original(self, benchmark, mode, config, seed)
 
         resumed_harness = Harness(compile_cache=False)
         resumed_harness.run = counting_run.__get__(resumed_harness)
