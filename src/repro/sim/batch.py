@@ -50,15 +50,14 @@ run signature covers — machine config, fault plan, latency seed,
 cycle budget — and differ **only** in input data; anything else
 changes timing undetectably and must not share a bundle
 (:meth:`Harness.run_many` groups accordingly).
+
+numpy is this module's dependency alone, and :func:`batch_supported`
+imports it when the first bundle is built: importing ``repro`` and
+every scalar run leave it unloaded.
 """
 
 import copy
 from heapq import heappush
-
-try:
-    import numpy as np
-except ImportError:              # pragma: no cover - numpy is baked in
-    np = None
 
 from ..errors import SimulationError
 from .event import EventNode
@@ -71,6 +70,9 @@ from .node import SimResult
 #: object vector of arbitrary-precision Python ints.
 _INT_BOUND = 1 << 31
 
+#: numpy, once :func:`batch_supported` has imported it.
+np = None
+
 
 class AllLanesPeeled(Exception):
     """Internal control signal: every lane diverged; the shared run is
@@ -78,8 +80,22 @@ class AllLanesPeeled(Exception):
 
 
 def batch_supported():
-    """Whether the batch backend can run at all (numpy present)."""
-    return np is not None
+    """Whether the batch backend can run at all: imports numpy into
+    ``np`` on the first call and reports whether that worked."""
+    global np
+    if np is None:
+        try:
+            import numpy as np
+        except ImportError:
+            return False
+    return True
+
+
+def _require_numpy():
+    """Load numpy, or raise the batch backend's SimulationError."""
+    if not batch_supported():
+        raise SimulationError(
+            "batch backend requires numpy, which is unavailable")
 
 
 class LaneVec:
@@ -103,6 +119,8 @@ class LaneVec:
     def of(cls, values):
         """Build from per-lane Python scalars, picking the strictest
         dtype that is provably bit-faithful to the scalar kernel."""
+        if np is None:
+            _require_numpy()
         if all(type(v) is float for v in values):
             return cls("f", np.array(values, dtype=np.float64))
         if all(type(v) is int and -_INT_BOUND < v < _INT_BOUND
@@ -250,6 +268,7 @@ def _k_mov(node, args):
 
 
 def _build_kernels():
+    _require_numpy()
     return {
         "fadd": _k_f2(np.add), "fsub": _k_f2(np.subtract),
         "fmul": _k_f2(np.multiply),
@@ -336,9 +355,7 @@ class BatchNode(EventNode):
 
     def __init__(self, config, lanes, observer=None):
         global _KERNELS
-        if np is None:
-            raise SimulationError(
-                "batch backend requires numpy, which is unavailable")
+        _require_numpy()
         if _KERNELS is None:
             _KERNELS = _build_kernels()
         super().__init__(config, observer=observer)
@@ -554,6 +571,7 @@ def merge_overrides(lane_overrides):
     differ.  repr-equality is deliberate: it distinguishes 0.0 from
     -0.0 and 1 from 1.0, so a collapsed scalar is bit-faithful to
     every lane."""
+    _require_numpy()
     merged = {}
     first = lane_overrides[0]
     for name in first:

@@ -38,6 +38,7 @@ from collections import defaultdict
 from heapq import heappop, heappush
 
 from ..errors import SimulationError
+from ..machine.interconnect import UNLIMITED
 from .function_unit import WritebackEntry
 from .memory import MemRequest
 from .node import Node, SimResult
@@ -293,14 +294,25 @@ class EventNode(Node):
         so the granting path is the wake hook.  Only units with queued
         entries are visited, and a fully connected network (every grant
         trivially succeeds) bypasses per-write arbitration, writing the
-        register directly and batching the grant count."""
+        register directly and batching the grant count.  A restricted
+        network is arbitrated inline: the same checks, in the same
+        order, as ``WritebackNetwork.try_grant`` (which the scan kernel
+        still calls), over this cycle's port and bus counts."""
         wrote = 0
+        conflicts = 0
         cycle = self.cycle
         injector = self.injector
         network = self.network
         unrestricted = network.unrestricted
         if not unrestricted:
-            network.new_cycle()
+            spec = network.spec
+            combined = spec.combined_port
+            local_cap = spec.local_ports
+            global_cap = spec.global_ports
+            bus_cap = spec.machine_bus
+            local_used = [0] * network.n_clusters
+            global_used = [0] * network.n_clusters
+            bus_used = 0
         units = self._units_list
         pending = self._wb_pending
         for index in sorted(pending):
@@ -336,13 +348,30 @@ class EventNode(Node):
                 kept = []
                 thread = entry.thread
                 for dest in entry.dests:
-                    if network.try_grant(cluster, dest.cluster):
-                        thread.frame(dest.cluster).write(dest.index,
-                                                         entry.value)
-                        wrote += 1
-                        thread.parked = False
+                    target = dest.cluster
+                    if combined or target == cluster:
+                        used = local_used[target]
+                        if local_cap is not UNLIMITED and used >= local_cap:
+                            conflicts += 1
+                            kept.append(dest)
+                            continue
+                        local_used[target] = used + 1
                     else:
-                        kept.append(dest)
+                        # Remote: a global port on the destination file
+                        # and, under Shared-bus, the machine-wide bus.
+                        used = global_used[target]
+                        if (global_cap is not UNLIMITED
+                                and used >= global_cap
+                                or bus_cap is not UNLIMITED
+                                and bus_used >= bus_cap):
+                            conflicts += 1
+                            kept.append(dest)
+                            continue
+                        global_used[target] = used + 1
+                        bus_used += 1
+                    thread.frame(target).write(dest.index, entry.value)
+                    wrote += 1
+                    thread.parked = False
                 entry.dests = kept
                 if kept:
                     remaining.append(entry)
@@ -351,7 +380,9 @@ class EventNode(Node):
             unit.writebacks = remaining
             if not remaining:
                 pending.discard(index)
-        if unrestricted and wrote:
+        if conflicts:
+            self.stats.writeback_conflicts += conflicts
+        if wrote:
             self.stats.writeback_grants += wrote
         return wrote
 

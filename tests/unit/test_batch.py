@@ -9,6 +9,7 @@ merging, and the run_batch error paths.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -293,7 +294,9 @@ class TestRunBatch:
     def test_without_numpy_is_a_simulation_error(self, monkeypatch):
         # Lanes that differ force merge_overrides to build a LaneVec,
         # which needs numpy: the node must refuse before that happens.
+        # A None entry in sys.modules makes the loader's import fail.
         monkeypatch.setattr("repro.sim.batch.np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(SimulationError, match="requires numpy"):
             run_batch(_program(), _config(),
                       [{"A": [0.5, -1.5, 2.0, 3.25]},
