@@ -31,7 +31,7 @@ import pickle
 import tempfile
 
 #: Bump when compiled-program layout or codegen output changes.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 def default_cache_dir():

@@ -63,7 +63,7 @@ class _RegisterAllocator:
             used = self._in_use.get(cluster, 0) + 1
             self._in_use[cluster] = used
             self._peaks[cluster] = max(self._peaks.get(cluster, 0), used)
-        return Reg(cluster, index)
+        return Reg.of(cluster, index)
 
     def release(self, vreg, cluster):
         """Return a temporary's slot to the free pool."""
@@ -79,7 +79,7 @@ class _RegisterAllocator:
 
 def _operand(alloc, operand):
     if isinstance(operand, Const):
-        return Imm(operand.value)
+        return Imm.of(operand.value)
     if isinstance(operand, PlacedReg):
         return alloc.reg(operand.vreg, operand.cluster)
     raise CompileError("unplaced operand %r" % (operand,))
@@ -90,12 +90,12 @@ def _build_operation(entry, alloc, data, child_params):
     if entry.op in ("ld", "ld_ff", "ld_fe"):
         base = data[entry.sym].base
         index = _operand(alloc, entry.srcs[0])
-        return Operation(entry.op, dests=dests, srcs=(index, Imm(base)))
+        return Operation(entry.op, dests=dests, srcs=(index, Imm.of(base)))
     if entry.op in ("st", "st_ff", "st_ef"):
         base = data[entry.sym].base
         value = _operand(alloc, entry.srcs[0])
         index = _operand(alloc, entry.srcs[1])
-        return Operation(entry.op, srcs=(value, index, Imm(base)))
+        return Operation(entry.op, srcs=(value, index, Imm.of(base)))
     if entry.op == "fork":
         params = child_params(entry.target)
         if len(params) != len(entry.fork_args):
@@ -105,11 +105,12 @@ def _build_operation(entry, alloc, data, child_params):
         bindings = tuple(
             (param, _operand(alloc, arg))
             for param, arg in zip(params, entry.fork_args))
-        return Operation("fork", target=Label(entry.target),
+        return Operation("fork", target=Label.of(entry.target),
                          bindings=bindings)
     if entry.op in ("br", "brt", "brf"):
         srcs = tuple(_operand(alloc, s) for s in entry.srcs)
-        return Operation(entry.op, srcs=srcs, target=Label(entry.target))
+        return Operation(entry.op, srcs=srcs,
+                         target=Label.of(entry.target))
     if entry.op == "halt":
         return Operation("halt")
     srcs = tuple(_operand(alloc, s) for s in entry.srcs)

@@ -100,7 +100,7 @@ def parse_operation(text):
                 child_text, __, value_text = pair.partition("=")
                 bindings.append((parse_reg(child_text),
                                  parse_operand(value_text)))
-        target = Label(rest.strip().rstrip(","))
+        target = Label.of(rest.strip().rstrip(","))
         if not target.name:
             raise AsmError("fork: missing target in %r" % text)
         return Operation(name, target=target, bindings=tuple(bindings))
@@ -109,7 +109,7 @@ def parse_operation(text):
     if spec.is_branch:
         if not fields:
             raise AsmError("%s: missing label in %r" % (name, text))
-        target = Label(fields.pop())
+        target = Label.of(fields.pop())
     dests = ()
     if spec.has_dest:
         if not fields:

@@ -6,7 +6,8 @@ operation field for one function unit.  A :class:`Program` bundles the
 thread programs together with the node's initial memory image.
 """
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from ..errors import AsmError
 from .operands import Imm, Label, Reg, is_source
@@ -14,9 +15,12 @@ from .operations import UnitClass, opcode
 
 
 def unit_id(cluster, kind, index=0):
-    """Build the canonical unit identifier string, e.g. ``c0.iu0``."""
+    """Build the canonical unit identifier string, e.g. ``c0.iu0``.
+
+    Interned: every instruction word keys its slots by these strings,
+    so a program (and its pickle) holds each unit id once."""
     kind_name = kind.value if isinstance(kind, UnitClass) else str(kind)
-    return "c%d.%s%d" % (cluster, kind_name, index)
+    return sys.intern("c%d.%s%d" % (cluster, kind_name, index))
 
 
 def parse_unit_id(text):
@@ -35,7 +39,7 @@ def parse_unit_id(text):
     raise AsmError("malformed unit id %r" % text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One operation: opcode, destinations, sources, control payload.
 
@@ -83,6 +87,17 @@ class Operation:
     def spec(self):
         return opcode(self.name)
 
+    # Pickled as a tuple of the fields in declaration order (the order
+    # of __slots__): Python 3.10's default protocol cannot restore a
+    # frozen slotted dataclass (it assigns through the frozen
+    # __setattr__).
+    def __getstate__(self):
+        return self.name, self.dests, self.srcs, self.target, self.bindings
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
     def source_regs(self):
         """Registers this operation reads (bindings included for fork)."""
         regs = [src for src in self.srcs if isinstance(src, Reg)]
@@ -110,6 +125,8 @@ class Operation:
 class InstructionWord:
     """One row of the sparse operation matrix: unit id -> Operation."""
 
+    __slots__ = ("slots",)
+
     def __init__(self, slots=None):
         self.slots = dict(slots or {})
         self._check()
@@ -127,6 +144,12 @@ class InstructionWord:
             raise AsmError("more than one control operation in an "
                            "instruction word (the compiler issues at most "
                            "one branch per thread per cycle)")
+
+    def __getstate__(self):
+        return self.slots
+
+    def __setstate__(self, slots):
+        self.slots = slots
 
     def __len__(self):
         return len(self.slots)

@@ -5,6 +5,19 @@ import pytest
 from repro.machine import baseline, single_cluster
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _private_compile_cache(tmp_path_factory):
+    """Point the default compile cache at a fresh directory for the
+    whole run.  The suite then never loads programs another checkout
+    compiled (a compiler change that forgot to bump ``CACHE_FORMAT``
+    would pass against stale entries) and never writes to the user's
+    cache.  Tests of the cache itself still set their own directory."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR",
+                     str(tmp_path_factory.mktemp("compile-cache")))
+        yield
+
+
 @pytest.fixture
 def config():
     """The paper's baseline machine."""

@@ -13,7 +13,8 @@ cycle, so every jump is checked against a cycle-by-cycle oracle.
 TestBatchPeel additionally pins the peel discipline: lanes that diverge mid-run —
 on branch direction, memory address, or a lane-local arithmetic trap,
 with or without a fault plan — peel off to the scalar kernel while
-every surviving lane stays bit-identical."""
+every surviving lane stays bit-identical.  Without numpy the batch lane
+is skipped and the three scalar ways are still checked."""
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.machine import baseline, mem2
 from repro.programs import get_benchmark
 from repro.programs.suite import BENCHMARK_ORDER
 from repro.sim import EventNode, FaultPlan, Node, make_node, run_program
-from repro.sim.batch import run_batch
+from repro.sim.batch import batch_supported, run_batch
 
 
 def _cells():
@@ -67,10 +68,11 @@ def _run_all(benchmark, mode, mutate=None):
     # Fourth way: the same cell as lane 0 of a two-lane batch bundle
     # (lane 1 carries different input data, so the value plane really
     # is vectorized and any cross-lane contamination would surface).
-    results["batch"] = _batch_lane0(
-        compiled.program,
-        config.with_engine("event").with_fusion(False),
-        [inputs, bench.make_inputs(2)])
+    if batch_supported():
+        results["batch"] = _batch_lane0(
+            compiled.program,
+            config.with_engine("event").with_fusion(False),
+            [inputs, bench.make_inputs(2)])
     return results
 
 
@@ -93,9 +95,11 @@ def _assert_identical(reference, other, label="event"):
 
 
 def _assert_four_way(results):
-    _assert_identical(results["scan"], results["event"], "event")
-    _assert_identical(results["scan"], results["fused"], "fused")
-    _assert_identical(results["scan"], results["batch"], "batch")
+    """Every way that ran against the scan kernel (the batch lane runs
+    only where numpy is installed)."""
+    for name, result in results.items():
+        if name != "scan":
+            _assert_identical(results["scan"], result, name)
 
 
 @pytest.mark.parametrize("bench_name,mode", list(_cells()))
@@ -417,6 +421,8 @@ class TestSnapshotRestore:
         _assert_identical(full, restored.resume(), "restored-defused")
 
 
+@pytest.mark.skipif(not batch_supported(),
+                    reason="the batch backend requires numpy")
 class TestBatchPeel:
     """The batch lane engine's peel discipline, pinned on purpose-built
     programs whose lanes *are* divergent: a lane that disagrees with

@@ -2,9 +2,15 @@
 
 import json
 
+import pytest
+
 from repro.bench import (QUICK_BENCHMARKS, aggregate_cycles_per_sec,
                          compare_reports, main, suite_specs)
 from repro.machine import baseline
+from repro.sim.batch import batch_supported
+
+needs_numpy = pytest.mark.skipif(not batch_supported(),
+                                 reason="the batch backend requires numpy")
 
 
 def _report(cells, **top):
@@ -276,6 +282,7 @@ class TestBenchCommand:
         # Journal unchanged: replayed cells are not re-recorded.
         assert len(journal.read_text().splitlines()) == len(lines)
 
+    @needs_numpy
     def test_batch_backend_report(self, tmp_path):
         code, text, report = self._run(tmp_path, "--backend", "batch",
                                        "--lanes", "2")
@@ -301,6 +308,7 @@ class TestBenchCommand:
         assert "backend=batch" in text
         assert "@1" in text
 
+    @needs_numpy
     def test_batch_gate_against_own_reference(self, tmp_path):
         code, __, report = self._run(tmp_path, "--backend", "batch",
                                      "--lanes", "2")
@@ -321,6 +329,7 @@ class TestBenchCommand:
             main(["--quick", "--backend", "batch", "--sanitize",
                   "-o", str(tmp_path / "x.json")])
 
+    @needs_numpy
     def test_batch_resume_replays_lane_cells(self, tmp_path):
         journal = tmp_path / "sweep.journal.jsonl"
         code, __, report = self._run(tmp_path, "--backend", "batch",

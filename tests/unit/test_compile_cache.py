@@ -5,9 +5,12 @@ import pickle
 
 from repro import baseline, compile_program, run_program
 from repro.compiler import CompileCache, default_cache
+from repro.compiler import cache as compile_cache
 from repro.compiler.cache import (cache_disabled_by_env, compile_key,
                                   default_cache_dir)
 from repro.compiler.options import DEFAULT_OPTIONS, CompilerOptions
+from repro.isa import Imm, Label, Reg
+from repro.programs import get_benchmark
 
 SOURCE = """
 (program
@@ -44,6 +47,14 @@ class TestCompileKey:
         assert compile_key(SOURCE, "sts", config, DEFAULT_OPTIONS) == \
             compile_key(SOURCE, "sts", config.with_seed(99),
                         DEFAULT_OPTIONS)
+
+    def test_sensitive_to_cache_format(self, monkeypatch):
+        # Entries written in another layout are never read back.
+        config = baseline()
+        base = compile_key(SOURCE, "sts", config, DEFAULT_OPTIONS)
+        monkeypatch.setattr(compile_cache, "CACHE_FORMAT",
+                            compile_cache.CACHE_FORMAT + 1)
+        assert compile_key(SOURCE, "sts", config, DEFAULT_OPTIONS) != base
 
     def test_parsed_ast_is_not_cacheable(self):
         from repro.compiler import parse_program
@@ -107,6 +118,39 @@ class TestCompileCache:
         config = baseline()
         assert run_program(clone.program, config).read_symbol("out") == \
             run_program(compiled.program, config).read_symbol("out")
+
+
+    def test_loaded_program_shares_every_operand(self, tmp_path):
+        """A program read back from the cache holds the shared operand
+        instances, and no operation or word carries a ``__dict__``."""
+        cache = CompileCache(str(tmp_path))
+        config = baseline()
+        source = get_benchmark("lud").source("coupled")
+        compile_program(source, config, mode="coupled", cache=cache)
+        loaded = compile_program(source, config, mode="coupled",
+                                 cache=cache)
+        assert cache.hits == 1
+        operands = []
+        for thread in loaded.program.threads.values():
+            operands.extend(thread.param_regs)
+            for word in thread.instructions:
+                assert not hasattr(word, "__dict__")
+                for op in word.operations():
+                    assert not hasattr(op, "__dict__")
+                    operands.extend(op.dests + op.srcs)
+                    for pair in op.bindings:
+                        operands.extend(pair)
+                    if op.target is not None:
+                        operands.append(op.target)
+        assert len(operands) > 1000
+        for operand in operands:
+            if isinstance(operand, Reg):
+                shared = Reg.of(operand.cluster, operand.index)
+            elif isinstance(operand, Imm):
+                shared = Imm.of(operand.value)
+            else:
+                shared = Label.of(operand.name)
+            assert operand is shared
 
 
 class TestStatsAndPrune:

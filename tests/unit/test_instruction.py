@@ -1,5 +1,8 @@
 """Operations, instruction words, thread programs, data segments."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import AsmError
@@ -53,11 +56,43 @@ class TestOperation:
             Operation("iadd", dests=(Imm(1),), srcs=(Imm(1), Imm(2)))
 
 
+class TestCompactForm:
+    """Operations and words are slotted: neither building, pickling nor
+    unpickling them gives an instance a ``__dict__``."""
+
+    def _word(self):
+        return InstructionWord({
+            "c0.iu0": iadd(Reg.of(0, 0), Reg.of(0, 1), Imm.of(2)),
+            "c4.bru0": Operation("fork", target=Label.of("child"),
+                                 bindings=((Reg.of(0, 0), Imm.of(-0.0)),)),
+        })
+
+    def test_no_instance_dict_before_and_after_round_trip(self):
+        word = self._word()
+        for clone in (word, pickle.loads(pickle.dumps(word)),
+                      copy.deepcopy(word)):
+            assert not hasattr(clone, "__dict__")
+            for op in clone.operations():
+                assert not hasattr(op, "__dict__")
+
+    def test_round_trip_keeps_every_field(self):
+        word = self._word()
+        clone = pickle.loads(pickle.dumps(word))
+        assert clone.slots == word.slots
+        assert str(clone) == str(word)
+        fork = clone.slots["c4.bru0"]
+        assert fork.bindings[0][1] is Imm.of(-0.0)
+        assert fork.target is Label.of("child")
+
+
 class TestUnitIds:
     def test_roundtrip(self):
         uid = unit_id(2, UnitClass.FPU, 1)
         assert uid == "c2.fpu1"
         assert parse_unit_id(uid) == (2, UnitClass.FPU, 1)
+
+    def test_interned(self):
+        assert unit_id(3, UnitClass.IU, 0) is unit_id(3, "iu", 0)
 
     def test_malformed(self):
         for text in ("c0.xyz0", "fpu0", "c0.fpu"):
