@@ -6,6 +6,8 @@ Lisp syntax.  This reader turns text into nested Python lists of
 that runs to end of line.
 """
 
+import re
+
 from ..errors import CompileError
 
 
@@ -42,15 +44,22 @@ def tokenize(text):
             yield text[start:i]
 
 
+#: A numeral starts with an optional sign, then a digit or a ``.`` and
+#: a digit.  Anything else is a symbol, even where ``float()`` would
+#: accept it (``inf``, ``nan``, ``-Infinity``).
+_NUMERAL = re.compile(r"[+-]?\.?[0-9]")
+
+
 def _atom(token):
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
+    if _NUMERAL.match(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+        try:
+            return float(token)
+        except ValueError:
+            pass
     return Symbol(token)
 
 

@@ -53,7 +53,19 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """One benchmark x mode x machine simulation."""
+    """One benchmark x mode x machine simulation: its cycle count,
+    unit utilization and statistics, the compiled program it ran, and
+    how it was produced.
+
+    It never holds the finished machine (the run's memory image,
+    thread contexts and block tables): the harness lets each
+    :class:`~repro.sim.node.SimResult` go once ``Benchmark.check`` has
+    read it, so a sweep keeps results, not machines, and a pool worker
+    hands back only this record.  To read final memory or threads,
+    call :func:`repro.sim.run_program` on ``compiled.program``.
+    ``compiled`` is shared with the harness compile cache; it is None
+    on results replayed from a sweep journal.
+    """
 
     benchmark: str
     mode: str
@@ -62,7 +74,6 @@ class RunResult:
     utilization: dict               # unit-class name -> ops/cycle
     stats: object
     compiled: object
-    sim: object
     verified: bool
     wall_seconds: float = 0.0       # simulation wall clock
     compile_seconds: float = 0.0    # compilation wall clock (0 on hit)
@@ -199,7 +210,7 @@ class Harness:
                     seed=self.seed if seed is None else seed)
         result = RunResult(benchmark, mode, config, sim.cycles,
                            sim.stats.utilization_table(), sim.stats,
-                           compiled, sim, verified,
+                           compiled, verified,
                            wall_seconds=wall_seconds,
                            compile_seconds=compile_seconds,
                            cache_hit=cache_hit)
@@ -440,7 +451,7 @@ class Harness:
                     result = RunResult(
                         spec.benchmark, spec.mode, config, sim.cycles,
                         sim.stats.utilization_table(), sim.stats,
-                        compiled, sim, verified,
+                        compiled, verified,
                         wall_seconds=wall_share,
                         compile_seconds=compile_share,
                         cache_hit=cache_hit, backend="batch",
@@ -510,7 +521,7 @@ class Harness:
                                   "defuse_reasons"),
                               quarantined_blocks=record.get(
                                   "quarantined_blocks", 0)),
-                None, None, record.get("verified", True),
+                None, record.get("verified", True),
                 wall_seconds=record.get("wall_seconds", 0.0),
                 compile_seconds=record.get("compile_seconds", 0.0),
                 cache_hit=record.get("cache_hit", False),

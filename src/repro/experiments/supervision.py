@@ -32,8 +32,8 @@ the harness composes:
   ``run_many(..., journal=path)`` after a kill replays the completed
   cells from disk and re-runs only the remainder.  Replayed results
   are bit-identical in everything the journal records (cycles,
-  statistics, utilization); only the live ``sim``/``compiled`` handles
-  are absent (``RunResult.replayed`` is True).
+  statistics, utilization); only the ``compiled`` program is absent
+  (``RunResult.replayed`` is True).
 
 The ``REPRO_CHAOS_WORKER`` environment flag (test/CI only) makes a
 worker kill or hang itself mid-cell; see :func:`chaos_if_requested`.

@@ -1,9 +1,9 @@
 """Property tests: text round-trips for the reader and the assembler."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.compiler.sexpr import read_one, to_text
+from repro.compiler.sexpr import Symbol, read_one, to_text
 from repro.isa import asmtext
 from repro.isa.instruction import Operation
 from repro.isa.operands import Imm, Label, Reg
@@ -18,8 +18,7 @@ atoms = st.one_of(
     st.integers(min_value=-10**9, max_value=10**9),
     st.floats(allow_nan=False, allow_infinity=False, width=32)
       .map(lambda f: float(f)),
-    symbols.map(lambda s: __import__(
-        "repro.compiler.sexpr", fromlist=["Symbol"]).Symbol(s)),
+    symbols.map(Symbol),
 )
 
 forms = st.recursive(atoms, lambda children: st.lists(
@@ -28,6 +27,9 @@ forms = st.recursive(atoms, lambda children: st.lists(
 
 class TestSexprRoundtrip:
     @given(forms.filter(lambda f: isinstance(f, list)))
+    @example([Symbol("inf")])
+    @example([Symbol("nan"), Symbol("infinity"), Symbol("-inf")])
+    @example([Symbol("NaN"), [Symbol("+Infinity")], 1.5])
     @settings(max_examples=150)
     def test_print_then_read_is_identity(self, form):
         assert read_one(to_text(form)) == form

@@ -1,16 +1,26 @@
 """Experiment harness plumbing: report rendering, runner caching, CLI."""
 
+import gc
 import io
+import pickle
+import weakref
 
 import pytest
 
-from repro.experiments import paper, table2
+from repro.experiments import paper, runner, table2
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.report import (format_bar_chart, format_grid,
                                       format_table)
 from repro.experiments.runner import Harness, RunSpec
 from repro.machine import baseline
+from repro.sim import batch
 from repro.sim.faults import FaultEvent, FaultPlan
+
+needs_numpy = pytest.mark.skipif(not batch.batch_supported(),
+                                 reason="the batch backend requires numpy")
+
+#: Classes of the finished machine a result must not drag along.
+_MACHINE_STATE = (b"ThreadContext", b"MemorySystem", b"RegisterFrame")
 
 
 class TestReportFormatting:
@@ -98,6 +108,60 @@ class TestHarnessCaching:
         result = Harness().run("matrix", "seq")
         assert result.wall_seconds > 0.0
         assert result.cycles_per_second > 0.0
+
+    @staticmethod
+    def _watch_sims(monkeypatch):
+        """Keep a weak reference to every SimResult the harness gets
+        from ``run_program`` or ``run_batch``."""
+        refs = []
+        run_program, run_batch = runner.run_program, batch.run_batch
+
+        def watched_run_program(*args, **kwargs):
+            sim = run_program(*args, **kwargs)
+            refs.append(weakref.ref(sim))
+            return sim
+
+        def watched_run_batch(*args, **kwargs):
+            outcome = run_batch(*args, **kwargs)
+            refs.extend(weakref.ref(sim) for sim in outcome.results
+                        if sim is not None)
+            return outcome
+
+        monkeypatch.setattr(runner, "run_program", watched_run_program)
+        monkeypatch.setattr(batch, "run_batch", watched_run_batch)
+        return refs
+
+    @staticmethod
+    def _assert_no_machine(refs, results):
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        for result in results:
+            blob = pickle.dumps(result)
+            for name in _MACHINE_STATE:
+                assert name not in blob, (result.benchmark, name)
+
+    def test_result_holds_no_machine(self, monkeypatch):
+        refs = self._watch_sims(monkeypatch)
+        harness = Harness()
+        results = [harness.run("lud", "coupled")]
+        assert len(refs) == 1
+        self._assert_no_machine(refs, results)
+
+    @needs_numpy
+    def test_lane_results_hold_no_machine(self, monkeypatch):
+        refs = self._watch_sims(monkeypatch)
+        harness = Harness()
+        model = harness.run_many(
+            [RunSpec("model", "coupled", seed=seed) for seed in (1, 2, 3, 4)],
+            backend="batch")
+        matrix = harness.run_many(
+            [RunSpec("matrix", "coupled", seed=seed) for seed in (1, 2, 3)],
+            backend="batch")
+        # model peels some lanes (re-run on the scalar kernel) and keeps
+        # others in lockstep; matrix stays in lockstep throughout.
+        assert {r.backend for r in model} == {"batch", "batch-peeled"}
+        assert {r.backend for r in matrix} == {"batch"}
+        self._assert_no_machine(refs, model + matrix)
 
 
 class TestRunMany:

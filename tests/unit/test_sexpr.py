@@ -25,6 +25,17 @@ class TestReader:
         assert read_all("(a 1) ; trailing\n; full line\n(b 2)") == \
             [[Symbol("a"), 1], [Symbol("b"), 2]]
 
+    def test_float_words_stay_symbols(self):
+        # float() accepts these, but only a numeral reads as a number.
+        for word in ("inf", "nan", "infinity", "-inf", "+NaN",
+                     "Infinity"):
+            atom = read_one(word)
+            assert isinstance(atom, Symbol) and atom == word
+        assert read_one(to_text([Symbol("inf")])) == [Symbol("inf")]
+        assert read_one(".5") == 0.5
+        assert read_one("-.5e3") == -500.0
+        assert read_one("1e5") == 100000.0
+
     def test_symbols_with_punctuation(self):
         assert read_one("aset!") == Symbol("aset!")
         assert read_one(":cluster") == Symbol(":cluster")
