@@ -30,7 +30,7 @@ from .isa import asmtext
 from .machine import MEMORY_MODELS, baseline
 from .machine.config import ENGINES
 from .machine.interconnect import CommScheme
-from .sim import FaultPlan, make_node
+from .sim import FaultPlan
 from .sim.trace import TraceRecorder, render_timeline
 
 
@@ -107,17 +107,10 @@ def cmd_run(args, out):
         import cProfile
         profiler = cProfile.Profile()
         profiler.enable()
-    if args.sanitize:
-        from .sim.sanitize import run_sanitized
-        result = run_sanitized(program, config, overrides=overrides,
-                               max_cycles=args.max_cycles,
-                               watchdog_cycles=args.watchdog_cycles,
-                               observer=recorder, policy=args.sanitize)
-    else:
-        node = make_node(config, observer=recorder)
-        result = node.run(program, overrides=overrides,
-                          max_cycles=args.max_cycles,
-                          watchdog_cycles=args.watchdog_cycles)
+    result = run_program(program, config, overrides=overrides,
+                         max_cycles=args.max_cycles, observer=recorder,
+                         watchdog_cycles=args.watchdog_cycles,
+                         sanitize=args.sanitize)
     if profiler is not None:
         profiler.disable()
     out.write("cycles: %d\n" % result.cycles)

@@ -70,11 +70,6 @@ class OpcodeSpec:
     postcondition: str = POST_KEEP
     is_move: bool = False
 
-    @property
-    def is_control(self):
-        """True for any operation executed by a branch unit."""
-        return self.unit is UnitClass.BRU
-
     def __reduce__(self):
         # Registry specs pickle (and deepcopy) by name: the semantics
         # functions are lambdas, which cannot cross process boundaries,

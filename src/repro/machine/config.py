@@ -78,13 +78,11 @@ class MachineConfig:
 
     def _build_tables(self):
         self.units = []
-        self._units_of_cluster = []
         for cluster_index, cluster in enumerate(self.clusters):
             ids = cluster.unit_ids(cluster_index)
             slots = [UnitSlot(uid, cluster_index, spec)
                      for uid, spec in zip(ids, cluster.units)]
             self.units.extend(slots)
-            self._units_of_cluster.append(tuple(slots))
         self.unit_by_id = {slot.uid: slot for slot in self.units}
 
     def _validate(self):
@@ -96,9 +94,6 @@ class MachineConfig:
             raise ConfigError("machine needs at least one IU or FPU")
 
     # -- lookups -------------------------------------------------------
-
-    def units_of_cluster(self, cluster_index):
-        return self._units_of_cluster[cluster_index]
 
     def units_of_kind(self, kind, cluster=None):
         return [slot for slot in self.units

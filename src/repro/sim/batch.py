@@ -57,11 +57,9 @@ every scalar run leave it unloaded.
 """
 
 import copy
-from heapq import heappush
 
 from ..errors import SimulationError
 from .event import EventNode
-from .memory import MemRequest
 from .node import SimResult
 
 #: int64 lane vectors only ever hold values with |v| < 2**31, so any
@@ -406,7 +404,10 @@ class BatchNode(EventNode):
         self._peel(losers, reason)
         return winner
 
-    # -- value plane -----------------------------------------------------
+    # -- value plane (EventNode._issue_plan's three value channels) ------
+
+    #: ``plan.exec_fn`` computes scalars straight from the frames.
+    _scalar_values = False
 
     def _broadcast(self, value):
         if isinstance(value, LaneVec):
@@ -434,7 +435,7 @@ class BatchNode(EventNode):
         return LaneVec.of([results.get(lane, fill)
                            for lane in range(self.lanes)])
 
-    def _batch_payload(self, plan, values):
+    def _compute(self, plan, values):
         """Compute one op's result across the lane axis."""
         if not any(isinstance(v, LaneVec) for v in values):
             return plan.semantics(*values)     # lanes agree: stay scalar
@@ -450,100 +451,21 @@ class BatchNode(EventNode):
             return int(value.get(lane))
         return int(value)
 
-    def _addr_vote(self, base, index):
+    def _address(self, base, offset):
         """The memory unit's address addition, with unanimity-or-peel
         over the lane axis (addresses drive service order, latency
         draws, and presence-bit synchronization — all shared state)."""
-        if not isinstance(base, LaneVec) and not isinstance(index, LaneVec):
-            return int(base) + int(index)
+        if not isinstance(base, LaneVec) and not isinstance(offset, LaneVec):
+            return int(base) + int(offset)
         return self._vote(
             lambda lane: self._lane_int(base, lane)
-            + self._lane_int(index, lane), "mem-address")
+            + self._lane_int(offset, lane), "mem-address")
 
-    def _branch_vote(self, cond):
+    def _taken(self, cond):
         """Resolved conditional-branch direction, unanimity-or-peel."""
         if not isinstance(cond, LaneVec):
             return bool(cond)
         return self._vote(lambda lane: bool(cond.get(lane)), "branch")
-
-    # -- issue (the only kernel phase that reads values) -----------------
-
-    def _issue_plan(self, unit, thread, plan, cycle):
-        # Mirrors EventNode._issue_plan with the value plane routed
-        # through the lane kernels.  plan.exec_fn is deliberately
-        # bypassed: its specialized closures call scalar semantics on
-        # raw frame slots.  Payload computation (where peels can fire)
-        # strictly precedes every state mutation, exactly like the
-        # parent.
-        frames = thread.frames
-        if not plan.is_memory and not plan.is_bru:
-            values = self._gather_values(plan, frames)
-            try:
-                payload = self._batch_payload(plan, values)
-            except ArithmeticError as exc:
-                raise SimulationError(
-                    "thread %s: %s%r raised %s at cycle %d"
-                    % (thread.name, plan.name, tuple(values), exc, cycle))
-        elif plan.is_memory:
-            values = self._gather_values(plan, frames)
-            if plan.is_load:
-                addr = self._addr_vote(values[0], values[1])
-                payload = MemRequest(thread, plan.op, unit.slot, addr,
-                                     spec=plan.spec)
-            else:
-                addr = self._addr_vote(values[1], values[2])
-                payload = MemRequest(thread, plan.op, unit.slot, addr,
-                                     store_value=values[0], spec=plan.spec)
-        else:
-            control = plan.control
-            if control == "brt" or control == "brf":
-                values = self._gather_values(plan, frames)
-            if control == "fork":
-                bindings = []
-                for child_reg, is_reg, a, b in plan.bindings_plan:
-                    if is_reg:
-                        frame = frames.get(a)
-                        if frame is None:
-                            bindings.append((child_reg, 0))
-                        else:
-                            stored = frame._values
-                            bindings.append((child_reg, stored[b]
-                                             if b < len(stored) else 0))
-                    else:
-                        bindings.append((child_reg, a))
-                payload = ("fork", plan.fork_name, bindings)
-            elif control == "brt":
-                payload = plan.taken_payload \
-                    if self._branch_vote(values[0]) \
-                    else plan.untaken_payload
-            elif control == "brf":
-                payload = plan.untaken_payload \
-                    if self._branch_vote(values[0]) \
-                    else plan.taken_payload
-            else:                    # br / halt
-                payload = plan.taken_payload
-            thread.control_inflight = True
-        for cluster, index, bit in plan.dest_triples:
-            frame = frames.get(cluster)
-            if frame is None:
-                frame = thread.frame(cluster)
-            stored = frame._values
-            if index >= len(stored):
-                stored.extend([0] * (index + 1 - len(stored)))
-            frame._invalid |= bit
-        pending = thread.pending_plans
-        pending.remove(plan)
-        if not pending and not thread.control_inflight:
-            thread.advance_ready = True
-            self._adv_any = True
-        self._pipe_seq += 1
-        heappush(self._pipe, (cycle + unit.latency, unit.index,
-                              self._pipe_seq, thread, plan, payload))
-        self._issued_tids[thread.tid] += 1
-        observer = self.observer
-        if observer is not None:
-            observer("issue", cycle=cycle, thread=thread,
-                     unit=unit.slot.uid, op=plan.op)
 
     # -- per-lane extraction ---------------------------------------------
 

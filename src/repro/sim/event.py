@@ -13,15 +13,15 @@ kernel (:class:`~repro.sim.node.Node`) but organizes the work around
   scan kernel's drain order (units in table order, FIFO within a unit)
   while making "anything due this cycle?" a single peek.  The memory
   system is only ticked on cycles it has an event due.
-* **Thread parking / wake queues** — a thread whose pending operations
-  are all waiting on presence bits is *parked* and not rescanned;
-  registers are thread-private, so only the thread's own writebacks can
-  set its presence bits, and the writeback path unparks it.  Threads
-  blocked on an operation-cache fill park with a timed wake.  Quiet
-  stretches where every thread is parked are then jumped over wholesale
-  to the next timed event, clamped so watchdog/pause/max-cycle checks
-  fire on exactly the cycle the scan kernel, which simulates every
-  cycle, reports them.
+* **Thread parking** — a thread whose pending operations are all
+  waiting on presence bits is *parked* and not rescanned; registers are
+  thread-private, so only the thread's own writebacks can set its
+  presence bits, and the writeback path unparks it.  A thread waiting
+  on an operation-cache fill stays awake, as in the scan kernel.  Quiet
+  stretches where no thread can act are then jumped over wholesale to
+  the next timed event (a completion, a memory event or a fill),
+  clamped so watchdog/pause/max-cycle checks fire on exactly the cycle
+  the scan kernel, which simulates every cycle, reports them.
 
 Issue-side statistics are batched into flat counters and folded into
 :class:`~repro.sim.stats.Stats` when the loop exits (including via
@@ -42,7 +42,7 @@ from ..machine.interconnect import UNLIMITED
 from .function_unit import WritebackEntry
 from .memory import MemRequest
 from .node import Node, SimResult
-from .predecode import _WARMUP_DISPATCHES, compile_mt_run, decode_program
+from .predecode import compile_mt_run, decode_program
 from .thread import DONE
 
 #: Interleaved fusion caps the alignment width: the compile cost and
@@ -87,8 +87,6 @@ class EventNode(Node):
         # Completion heap: (ready, unit_index, seq, thread, plan, payload).
         self._pipe = []
         self._pipe_seq = 0
-        # Timed thread wakes (operation-cache fills): (cycle, tid, thread).
-        self._wake_heap = []
         self._wb_count = 0           # writeback entries across all units
         self._wb_pending = set()     # unit indexes with queued writebacks
         # With an unrestricted network every entry drains the cycle it
@@ -464,7 +462,6 @@ class EventNode(Node):
             # has side effects: no issue, no arbitration loss, and (with
             # a fault plan) no per-cycle injector consultation at all.
             can_park = injector is None
-            wake = None
             # Iterating a one-element list that at most loses that one
             # element is safe without a copy (the common case).
             plans = pending if len(pending) == 1 else list(pending)
@@ -506,14 +503,9 @@ class EventNode(Node):
                         cache = unit.opcache
                         if cache is not None \
                                 and not cache.ready(thread, cycle):
-                            # Operation-cache fill in progress: a timed
-                            # wake.
-                            if can_park:
-                                fill = cache.fill_ready_cycle(thread)
-                                if fill is None:
-                                    can_park = False
-                                elif wake is None or fill < wake:
-                                    wake = fill
+                            # Operation-cache fill in progress: stay
+                            # awake, as the scan kernel does.
+                            can_park = False
                             continue
                     index = unit.index
                     if index in claimed:
@@ -529,8 +521,6 @@ class EventNode(Node):
                 can_park = False
             if can_park and thread.pending_plans:
                 thread.parked = True
-                if wake is not None:
-                    heappush(self._wake_heap, (wake, thread.tid, thread))
         return issued
 
     def _reroute_target(self, unit, claimed):
@@ -564,10 +554,29 @@ class EventNode(Node):
                     if index < len(stored) else 0
         return values
 
+    # -- value plane (overridden by the batch lane engine) ---------------
+
+    #: Registers hold plain Python scalars, so a plan's ``exec_fn`` may
+    #: compute straight from the frames.
+    _scalar_values = True
+
+    def _compute(self, plan, values):
+        """A compute operation's result from its gathered operands."""
+        return plan.semantics(*values)
+
+    def _address(self, base, offset):
+        """A memory operation's effective address."""
+        return int(base) + int(offset)
+
+    def _taken(self, cond):
+        """A conditional branch's condition (true when truthy)."""
+        return cond
+
     def _issue_plan(self, unit, thread, plan, cycle):
         frames = thread.frames
         ex = plan.exec_fn
-        if ex is not None:            # compute op, specialized gather
+        if ex is not None and self._scalar_values:
+            # Compute op, specialized gather.
             try:
                 payload = ex(frames)
             except ArithmeticError as exc:
@@ -578,7 +587,7 @@ class EventNode(Node):
         elif not plan.is_memory and not plan.is_bru:
             values = self._gather_values(plan, frames)
             try:
-                payload = plan.semantics(*values)
+                payload = self._compute(plan, values)
             except ArithmeticError as exc:
                 raise SimulationError(
                     "thread %s: %s%r raised %s at cycle %d"
@@ -586,11 +595,11 @@ class EventNode(Node):
         elif plan.is_memory:
             values = self._gather_values(plan, frames)
             if plan.is_load:
-                addr = int(values[0]) + int(values[1])
+                addr = self._address(values[0], values[1])
                 payload = MemRequest(thread, plan.op, unit.slot, addr,
                                      spec=plan.spec)
             else:
-                addr = int(values[1]) + int(values[2])
+                addr = self._address(values[1], values[2])
                 payload = MemRequest(thread, plan.op, unit.slot, addr,
                                      store_value=values[0], spec=plan.spec)
         else:
@@ -612,10 +621,10 @@ class EventNode(Node):
                         bindings.append((child_reg, a))
                 payload = ("fork", plan.fork_name, bindings)
             elif control == "brt":
-                payload = plan.taken_payload if values[0] \
+                payload = plan.taken_payload if self._taken(values[0]) \
                     else plan.untaken_payload
             elif control == "brf":
-                payload = plan.untaken_payload if values[0] \
+                payload = plan.untaken_payload if self._taken(values[0]) \
                     else plan.taken_payload
             else:                        # br / halt
                 payload = plan.taken_payload
@@ -672,13 +681,10 @@ class EventNode(Node):
         mem_if = memory._in_flight
         mem_def = memory._deferred_bits
         pipe = self._pipe
-        wake_heap = self._wake_heap
         stats = self.stats
         fusion = self._fusion
         while True:
             cycle = self.cycle
-            while wake_heap and wake_heap[0][0] <= cycle:
-                heappop(wake_heap)[2].parked = False
             completed = self._complete_due(cycle) \
                 if pipe and pipe[0][0] <= cycle else 0
             if (mem_if and mem_if[0][0] <= cycle) \
@@ -688,9 +694,8 @@ class EventNode(Node):
             if self._adv_any or self._spawn_queue:
                 self._advance_threads()
             issued = 0
-            if fusion and not pipe and not wake_heap \
-                    and not self._wb_count and not self._spawn_queue \
-                    and self.active:
+            if fusion and not pipe and not self._wb_count \
+                    and not self._spawn_queue and self.active:
                 if len(self.active) == 1:
                     end = self._try_fuse(cycle, max_cycles,
                                          watchdog_cycles, pause_at)
@@ -747,24 +752,20 @@ class EventNode(Node):
                     and (self.injector is None
                          or all(t.parked for t in self.active)):
                 # Every unparked thread was scanned and could not act;
-                # parked threads wait on their own timed or writeback
-                # events.  Jump to the next event, clamped so
-                # watchdog/pause/max-cycles fire on exactly the cycle
-                # the scan kernel reports.
+                # parked threads wait on a writeback.  Jump to the next
+                # event, clamped so watchdog/pause/max-cycles fire on
+                # exactly the cycle the scan kernel reports.
                 wake = pipe[0][0] if pipe else None
                 event = memory.next_event_cycle()
                 if event is not None and (wake is None or event < wake):
                     wake = event
-                if wake_heap and (wake is None or wake_heap[0][0] < wake):
-                    wake = wake_heap[0][0]
                 if self._use_opcache:
                     # In-flight operation-cache fills count as
-                    # in_flight above but live in no heap: a thread can
-                    # be pinned awake on a fill (its park was vetoed by
-                    # an arbitration loss or a shared fill it did not
-                    # start), leaving the fill's completion cycle as
-                    # the only upcoming event.  Without this candidate
-                    # the jump would overshoot it — or never happen.
+                    # in_flight above but live in no heap: a thread
+                    # waiting on a fill stays awake, leaving the fill's
+                    # completion cycle as the only upcoming event.
+                    # Without this candidate the jump would overshoot
+                    # it, or never happen.
                     fill = self._next_fill_ready()
                     if fill is not None and (wake is None or fill < wake):
                         wake = fill
@@ -788,8 +789,8 @@ class EventNode(Node):
     def _try_fuse(self, cycle, max_cycles, watchdog_cycles, pause_at):
         """Dispatch a compiled superblock if every guard holds.
 
-        Called with the pipeline, wake queue, writeback buffers, and
-        spawn queue empty and exactly one active thread, so the machine
+        Called with the pipeline, writeback buffers, and spawn queue
+        empty and exactly one active thread, so the machine
         state a block's static schedule assumes is fully determined by
         the remaining guards: the thread is at a block entry with its
         word un-issued, no timed memory event is due inside the span
@@ -1141,7 +1142,7 @@ class EventNode(Node):
     # -- checkpoint / restore ---------------------------------------------
 
     _SNAPSHOT_FIELDS = Node._SNAPSHOT_FIELDS + (
-        "_pipe", "_pipe_seq", "_wake_heap", "_wb_count", "_adv_any",
+        "_pipe", "_pipe_seq", "_wb_count", "_adv_any",
         "_decoded", "ffwd_jumps", "ffwd_cycles")
 
     def _snapshot_memo(self):

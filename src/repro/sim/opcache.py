@@ -98,13 +98,7 @@ class OperationCache:
     def resident_words(self):
         return len(self._lines)
 
-    # -- event-kernel support -------------------------------------------
-
-    def fill_ready_cycle(self, thread):
-        """The cycle the thread's in-progress fill completes, or None
-        when no fill for its current word is in flight (event-kernel
-        wake scheduling)."""
-        return self._fills.get((thread.program.name, thread.ip))
+    # -- event-kernel clock jump ----------------------------------------
 
     def next_fill_ready(self):
         """Earliest ready cycle among in-progress fills, or None."""

@@ -405,10 +405,10 @@ class BlockPlan:
     """
 
     __slots__ = ("entry_ip", "word_ips", "n_plans", "n_ops", "last_rel",
-                 "cache_checks", "fn", "source")
+                 "cache_checks", "fn")
 
     def __init__(self, entry_ip, word_ips, n_plans, n_ops, last_rel,
-                 cache_checks, fn, source):
+                 cache_checks, fn):
         self.entry_ip = entry_ip
         self.word_ips = word_ips
         self.n_plans = n_plans
@@ -416,14 +416,13 @@ class BlockPlan:
         self.last_rel = last_rel
         self.cache_checks = cache_checks
         self.fn = fn
-        self.source = source
 
     def handle(self):
         """A copy for one run.  Rewrapping the copy's ``fn`` (tracers,
         tests) cannot reach the shared template it came from."""
         return BlockPlan(self.entry_ip, self.word_ips, self.n_plans,
                          self.n_ops, self.last_rel, self.cache_checks,
-                         self.fn, self.source)
+                         self.fn)
 
 
 class _Rec:
@@ -1149,7 +1148,7 @@ def _emit_block(thread_name, start, run, config, recs, issue_order,
     exec(code, ns)
     return BlockPlan(start, tuple(ip for ip, __, __ in run),
                      len(run[0][1].plans), len(recs), last_rel,
-                     cache_checks, ns["_superblock"], source)
+                     cache_checks, ns["_superblock"])
 
 
 # ---------------------------------------------------------------------------
@@ -1210,15 +1209,14 @@ class MTBlockPlan:
     interpreted path.  ``last_rel`` is that cycle relative to entry.
     """
 
-    __slots__ = ("n_slots", "n_ops", "last_rel", "fn", "source",
-                 "emit_args", "hits")
+    __slots__ = ("n_slots", "n_ops", "last_rel", "fn", "emit_args",
+                 "hits")
 
-    def __init__(self, n_slots, n_ops, last_rel, fn, source):
+    def __init__(self, n_slots, n_ops, last_rel, fn):
         self.n_slots = n_slots
         self.n_ops = n_ops
         self.last_rel = last_rel
         self.fn = fn
-        self.source = source
         self.emit_args = None  # inputs for promote() codegen
         self.hits = 0          # successful dispatches since build
 
@@ -1230,9 +1228,7 @@ class MTBlockPlan:
         count has proven the spend back."""
         if self.emit_args is None:
             return
-        compiled = _emit_mt_block(*self.emit_args)
-        self.fn = compiled.fn
-        self.source = compiled.source
+        self.fn = _emit_mt_block(*self.emit_args).fn
         self.emit_args = None
 
 
@@ -2021,7 +2017,7 @@ def _emit_mt_block(slots, states, config, rr, recs, arriving, last_rel,
         + "".join("    %s\n" % line for line in body)
     code = compile(source, "<mtblock %s>" % label, "exec")
     exec(code, ns)
-    return MTBlockPlan(n, len(recs), last_rel, ns["_mtblock"], source)
+    return MTBlockPlan(n, len(recs), last_rel, ns["_mtblock"])
 
 # Step opcodes for the table-driven interleaved-superblock executor.
 # The compute table is a flat list of tuples walked in merged event
@@ -2454,4 +2450,4 @@ def _build_mt_run(slots, states, config, rr, recs, arriving, last_rel,
             node.arbiter._next = TS[rr_last].tid + 1
         return C0 + last_rel
 
-    return MTBlockPlan(n, n_recs, last_rel, _mtdrive, None)
+    return MTBlockPlan(n, n_recs, last_rel, _mtdrive)

@@ -9,7 +9,7 @@ This module makes it checkable *during* any run, in three tiers:
 1. **Invariant audits** (:class:`InvariantAuditor`) — cheap strided
    checks of the architectural protocol itself: every register
    presence bit cleared for writeback has exactly one in-flight
-   producer (and vice versa), the completion/wake/memory heaps are
+   producer (and vice versa), the completion and memory heaps are
    monotone and hold no overdue events, no parked thread or memory
    reference has lost its wake condition, the opcache fill board is
    consistent with per-unit fills, and no ready thread starves past a
@@ -18,9 +18,10 @@ This module makes it checkable *during* any run, in three tiers:
 2. **Shadow differential execution** (:func:`run_sanitized` at level
    ``shadow``/``deep``) — the fused event kernel runs in strided
    lockstep against an unfused reference kernel; both pause at the
-   same cycle boundaries and their canonical state digests are
-   compared.  The first mismatched component pins the divergence to a
-   stride window and to the superblocks dispatched inside it.
+   same cycle boundaries and their canonical states are compared
+   component by component (:func:`diff_components`).  The first
+   mismatched component pins the divergence to a stride window and to
+   the superblocks dispatched inside it.
 
 3. **Triage and graceful de-optimization** — on any trip the suspect
    superblock entries are quarantined (:meth:`EventNode.
@@ -40,7 +41,6 @@ import json
 import os
 import pickle
 from dataclasses import dataclass, field
-from hashlib import sha256
 
 from ..errors import (DivergenceError, InvariantViolation, SanitizerError,
                       SimulationError)
@@ -54,7 +54,7 @@ LEVELS = ("off", "audit", "shadow", "deep")
 #: via the REPRO_SANITIZE_DIR environment variable).
 DEFAULT_REPORT_DIR = "sanitizer-reports"
 
-_BUNDLE_FORMAT = 1
+_BUNDLE_FORMAT = 2
 
 
 @dataclass
@@ -63,7 +63,7 @@ class SanitizerPolicy:
 
     ``audit_stride`` is the cycle stride between invariant audits (1 =
     every cycle); ``shadow_stride`` the lockstep window between shadow
-    digest comparisons.  ``max_requarantines`` bounds the
+    state comparisons.  ``max_requarantines`` bounds the
     quarantine-and-retry rounds before the run de-optimizes outright
     (fusion disabled wholesale).  ``starvation_cycles`` is the
     round-robin fairness bound: a thread observed continuously ready
@@ -143,7 +143,7 @@ class SanitizerReport:
     ``kind`` is "invariant" or "divergence"; ``window`` the cycle span
     the trip was localized to; ``suspects`` the (program, entry_ip)
     superblock entries dispatched inside it; ``components`` the
-    canonical-state components whose digests differed; ``delta`` a
+    canonical-state components that differed; ``delta`` a
     bounded, human-readable state diff; ``violations`` the failed
     invariant checks (invariant kind only).
     """
@@ -344,7 +344,6 @@ def _audit_heaps(node, cycle, violations):
     pipe = getattr(node, "_pipe", None)
     if pipe is not None:
         _check_heap(pipe, "completion heap", cycle, violations)
-        _check_heap(node._wake_heap, "wake heap", cycle, violations)
     else:
         for uid in node.unit_order:
             _check_heap(node.units[uid]._pipeline,
@@ -405,27 +404,22 @@ def _plan_ready(thread, plan):
 
 
 def _audit_wakeups(node, violations):
-    """No lost wakeups: every parked thread must have a wake source —
-    a timed wake-heap entry or a pending plan blocked on a presence
-    bit (whose producer the presence audit has already vouched for)."""
-    wake_heap = getattr(node, "_wake_heap", None)
-    if wake_heap is None:
-        return                               # scan kernel never parks
-    waking = {entry[1] for entry in wake_heap}
+    """No lost wakeups: every parked thread must have a pending plan
+    blocked on a presence bit (whose producer the presence audit has
+    already vouched for).  The scan kernel never parks a thread."""
     for thread in node.active:
-        if not thread.parked or thread.tid in waking:
+        if not thread.parked:
             continue
         plans = thread.pending_plans
         if not plans:
             violations.append(
-                "thread %d (%s) parked with no pending plans and no "
-                "timed wake (lost wakeup)" % (thread.tid, thread.name))
+                "thread %d (%s) parked with no pending plans (lost "
+                "wakeup)" % (thread.tid, thread.name))
             continue
         if all(_plan_ready(thread, plan) for plan in plans):
             violations.append(
                 "thread %d (%s) parked while every pending plan is "
-                "ready and no timed wake exists (lost wakeup)"
-                % (thread.tid, thread.name))
+                "ready (lost wakeup)" % (thread.tid, thread.name))
 
 
 def _audit_memory(node, violations):
@@ -549,7 +543,7 @@ def _bits(mask):
 
 
 # ---------------------------------------------------------------------------
-# Tier 2: canonical state, digests, deltas
+# Tier 2: canonical state, component diffs, deltas
 # ---------------------------------------------------------------------------
 
 
@@ -573,12 +567,6 @@ def canonical_state(node):
         "inflight": _inflight_state(node),
         "rng": repr(node.rng.getstate()),
     }
-
-
-def state_digest(node):
-    """component -> short sha256 digest of :func:`canonical_state`."""
-    return {name: sha256(repr(value).encode()).hexdigest()[:16]
-            for name, value in canonical_state(node).items()}
 
 
 def diff_components(a, b):
@@ -700,8 +688,6 @@ def _inflight_state(node):
             (entry[0], entry[1], entry[3].tid, entry[4].uid,
              _payload_sig(entry[4], entry[5]))
             for entry in sorted(pipe, key=lambda e: e[:2]))
-        wake = tuple(sorted((entry[0], entry[1])
-                            for entry in node._wake_heap))
         units = node._units_list
     else:
         rows = []
@@ -711,7 +697,6 @@ def _inflight_state(node):
                 rows.append((ready, uid, inflight.thread.tid,
                              inflight.op.name))
         pipe_sig = tuple(rows)
-        wake = ()
         units = [node.units[uid] for uid in node.unit_order]
     writebacks = tuple(
         (unit.slot.uid, tuple((entry.thread.tid, entry.op.name,
@@ -730,7 +715,7 @@ def _inflight_state(node):
                     tuple((repr(reg), value) for reg, value in bindings),
                     priority)
                    for program, bindings, priority in node._spawn_queue)
-    return (pipe_sig, wake, writebacks, fills, spawns, node._next_tid,
+    return (pipe_sig, writebacks, fills, spawns, node._next_tid,
             getattr(node.arbiter, "_next", None))
 
 

@@ -14,7 +14,7 @@ from ..isa.operations import UnitClass
 #: architectural quantities: they differ between the fused and unfused
 #: kernels by design, stay out of :meth:`Stats.summary`, and must be
 #: excluded from any cross-engine equality check (the equivalence
-#: suite and the sanitizer's shadow digest both key off this tuple).
+#: suite and the sanitizer's shadow comparison both key off this tuple).
 ENGINE_STAT_FIELDS = ("fused_dispatches", "defuse_reasons",
                       "quarantined_blocks")
 

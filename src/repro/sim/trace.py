@@ -67,9 +67,6 @@ class TraceRecorder:
             table[event.unit][event.cycle] = event.thread
         return table
 
-    def thread_activity(self, tid):
-        return [e for e in self.issues if e.thread == tid]
-
     def cycle_range(self):
         if not self.issues:
             return (0, 0)
