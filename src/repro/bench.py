@@ -29,24 +29,14 @@ append-only ledger of completed cells so an interrupted bench re-runs
 only the remainder (see docs/internals.md, "Supervised sweep
 execution").
 
-Output schema (version 5; every version bump so far is additive —
-version 2 added ``failed``, ``on_error``, ``cell_timeout``; version 3
-added per-cell ``fused_dispatches``, the superblock dispatch count;
-version 4 added the run-level ``sanitize`` level plus per-cell
-``defuse_reasons`` and ``quarantined_blocks`` from the online state
-sanitizer; version 5 added the run-level ``backend``
-and ``lanes`` plus per-cell ``backend``/``lanes``/``peeled_lanes``
-from the batch lane engine, and a per-cell ``seed`` — present only on
-cells whose spec overrode the harness seed, so single-seed reports
-keep the exact cell keys older references used)::
+Output schema (version 6)::
 
     {
-      "schema": 5,
+      "schema": 6,
       "date": "YYYYMMDD",
       "suite": "full" | "quick",
       "workers": N,
       "seed": N,
-      "engine": "event",
       "fusion": bool,               # superblock fusion (event kernel)
       "sanitize": "off" | "audit" | "shadow" | "deep",
       "backend": "pool" | "batch",  # sweep execution backend
@@ -54,28 +44,14 @@ keep the exact cell keys older references used)::
       "on_error": "raise" | "collect",
       "cell_timeout": float | null,
       "total_wall_s": float,        # whole-suite wall clock
-      "aggregate_cycles_per_sec": float,   # sum(cycles)/sum(wall_s)
-      "results": [
-        {"benchmark": ..., "mode": ..., "cycles": int,
-         "operations": int, "wall_s": float, "compile_s": float,
-         "cache_hit": bool, "cycles_per_sec": float,
-         "seed": int,                # only when the spec set one
-         "fused_dispatches": int,    # superblock dispatches (0 when
-                                     # fusion is off or never fired)
-         "defuse_reasons": {reason: int},  # fusion dispatch declines
-         "quarantined_blocks": int,  # sanitizer-quarantined entries
-         "backend": "scalar" | "batch" | "batch-peeled",
-         "lanes": int,               # lockstep bundle width
-         "peeled_lanes": int,        # lanes peeled from that bundle
-         "stats": {<Stats.summary()>}},
-        ...
-      ],
-      "failed": [                   # collected cell failures
-        {"benchmark": ..., "mode": ..., "error_type": ...,
-         "message": ..., "attempts": int, "timed_out": bool},
-        ...
-      ]
+      "aggregate_cycles_per_sec": float,   # sum(cycles)/sum(wall_seconds)
+      "results": [<RunResult.as_record()>, ...],
+      "failed": [<CellFailure.as_record()>, ...]
     }
+
+A cell whose spec set an input seed (``--lanes`` above 1) also carries
+``seed``; the others do not, so a single-seed report keeps the
+(benchmark, mode) cell identity that ``--compare`` keys on.
 """
 
 import argparse
@@ -94,7 +70,7 @@ from .programs.suite import BENCHMARK_ORDER
 #: clock, so --quick drops it).
 QUICK_BENCHMARKS = ("matrix", "fft", "model")
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def suite_specs(quick=False, config=None, seeds=None):
@@ -121,65 +97,31 @@ def suite_specs(quick=False, config=None, seeds=None):
 def run_suite(harness, specs, workers=None, on_error="raise",
               cell_timeout=None, journal=None, backend=None):
     """Run the specs under supervision; returns ``(records, failed)``
-    — the per-cell records for completed cells and the failure records
-    for collected failures (always empty with ``on_error="raise"``)."""
+    — the ``as_record()`` of each completed cell and of each collected
+    failure (always empty with ``on_error="raise"``), with ``seed``
+    added where the spec set one."""
     results = harness.run_many(specs, workers=workers,
                                on_error=on_error,
                                cell_timeout=cell_timeout,
                                journal=journal, backend=backend)
     records, failed = [], []
     for spec, result in zip(specs, results):
-        if not result.ok:
-            record = result.as_record()
-            if spec.seed is not None:
-                record["seed"] = spec.seed
-            failed.append(record)
-            continue
-        record = {
-            "benchmark": result.benchmark,
-            "mode": result.mode,
-            "cycles": result.cycles,
-            "operations": result.stats.total_operations,
-            "wall_s": round(result.wall_seconds, 6),
-            "compile_s": round(result.compile_seconds, 6),
-            "cache_hit": result.cache_hit,
-            "cycles_per_sec": round(result.cycles_per_second, 1),
-            # Deliberately outside "stats": summary() stays
-            # digest-identical between fused and unfused runs, while
-            # these engine counters differ by kernel.
-            "fused_dispatches":
-                getattr(result.stats, "fused_dispatches", 0),
-            "defuse_reasons":
-                dict(getattr(result.stats, "defuse_reasons", None) or {}),
-            "quarantined_blocks":
-                getattr(result.stats, "quarantined_blocks", 0),
-            "backend": result.backend,
-            "lanes": result.lanes,
-            "peeled_lanes": result.peeled_lanes,
-            "stats": result.stats.summary(),
-        }
-        # Only seeded specs carry the seed key: default-seed reports
-        # keep the exact (benchmark, mode) cell identity older
-        # reference reports use for --compare.
+        record = result.as_record()
         if spec.seed is not None:
             record["seed"] = spec.seed
-        records.append(record)
+        (records if result.ok else failed).append(record)
     return records, failed
 
 
 def _measured(records):
-    """The records carrying real measurements (guards against failed
-    or malformed cells riding along in a results list)."""
-    return [r for r in records
-            if isinstance(r.get("cycles"), (int, float))
-            and isinstance(r.get("wall_s"), (int, float))]
+    """The records carrying a cycle count (guards against failed or
+    malformed cells riding along in a results list)."""
+    return [r for r in records if isinstance(r.get("cycles"), int)]
 
 
 def _cell_key(record):
     """Cell identity for cross-report comparison: (benchmark, mode,
-    seed).  The seed key is absent on default-seed cells (None here),
-    so schema-4 references keyed by (benchmark, mode) alone still
-    match a fresh single-seed report cell for cell."""
+    seed).  The seed key is absent on default-seed cells (None here)."""
     return (record["benchmark"], record["mode"], record.get("seed"))
 
 
@@ -187,17 +129,15 @@ def aggregate_cycles_per_sec(records):
     """Whole-suite throughput: total simulated cycles over total
     simulation wall clock (compile time excluded).  An empty or
     all-failed record list aggregates to 0.0 rather than dividing by
-    zero, and cells without a real wall-clock measurement — notably
-    journal-replayed cells recorded before wall capture existed, whose
-    ``wall_s`` is 0.0 — are excluded from *both* sums: counting their
-    cycles against no wall would inflate a ``--resume`` aggregate
-    toward infinity."""
-    records = [r for r in _measured(records) if r["wall_s"] > 0.0]
+    zero, and cells without a real wall-clock measurement are
+    excluded from *both* sums: counting their cycles against no wall
+    would inflate the aggregate toward infinity."""
+    records = [r for r in _measured(records) if r["wall_seconds"] > 0.0]
     if not records:
         return 0.0
     cycles = sum(r["cycles"] for r in records)
-    wall = sum(r["wall_s"] for r in records)
-    return cycles / wall if wall > 0 else 0.0
+    wall = sum(r["wall_seconds"] for r in records)
+    return cycles / wall
 
 
 def compare_reports(report, reference):
@@ -206,7 +146,9 @@ def compare_reports(report, reference):
     Returns a list of problem strings (empty = pass).  Simulated cycle
     counts must match exactly on every cell the two reports share:
     every kernel is required to be bit-identical, so any drift means
-    the simulator's architectural behavior changed.
+    the simulator's architectural behavior changed.  Only cell
+    identity and ``cycles`` are read, so a reference of any schema
+    serves.
 
     Failed cells never raise a KeyError: a cell the reference measured
     but the current report collected as failed is reported as an
@@ -245,45 +187,40 @@ def bench_filename(date=None):
 
 def render(report):
     """A human-readable digest of one bench report."""
-    lines = ["bench %s: suite=%s workers=%s engine=%s fusion=%s "
-             "backend=%s lanes=%s"
+    lines = ["bench %s: suite=%s workers=%s fusion=%s backend=%s lanes=%s"
              % (report["date"], report["suite"], report["workers"],
-                report.get("engine", "scan"),
-                "on" if report.get("fusion", True) else "off",
-                report.get("backend", "pool"),
-                report.get("lanes", 1))]
+                "on" if report["fusion"] else "off", report["backend"],
+                report["lanes"])]
     lines.append("%-10s %-12s %10s %9s %9s %5s %12s"
                  % ("benchmark", "mode", "cycles", "wall_s",
                     "compile_s", "cache", "cycles/sec"))
     for record in report["results"]:
         mode = record["mode"]
-        if record.get("seed") is not None:
+        if "seed" in record:
             mode = "%s@%d" % (mode, record["seed"])
-        if record.get("backend") == "batch-peeled":
+        if record["backend"] == "batch-peeled":
             mode += "*"              # peeled out of its lane bundle
+        wall = record["wall_seconds"]
         lines.append("%-10s %-12s %10d %9.3f %9.3f %5s %12.0f"
-                     % (record["benchmark"], mode,
-                        record["cycles"], record["wall_s"],
-                        record["compile_s"],
-                        "hit" if record.get("cache_hit") else "miss",
-                        record["cycles_per_sec"]))
-    total_cycles = sum(r["cycles"] for r in _measured(report["results"]))
+                     % (record["benchmark"], mode, record["cycles"], wall,
+                        record["compile_seconds"],
+                        "hit" if record["cache_hit"] else "miss",
+                        record["cycles"] / wall if wall > 0 else 0.0))
+    total_cycles = sum(r["cycles"] for r in report["results"])
     lines.append("total: %d cells, %d simulated cycles, %.2fs wall "
                  "(%.0f cycles/sec aggregate)"
                  % (len(report["results"]), total_cycles,
                     report["total_wall_s"],
-                    report.get("aggregate_cycles_per_sec", 0.0)))
-    failed = report.get("failed", ())
+                    report["aggregate_cycles_per_sec"]))
+    failed = report["failed"]
     if failed:
         lines.append("FAILED cells: %d" % len(failed))
         for failure in failed:
             lines.append("  %-10s %-8s %s: %s (%d attempt(s)%s)"
                          % (failure["benchmark"], failure["mode"],
-                            failure.get("error_type", "?"),
-                            failure.get("message", "?"),
-                            failure.get("attempts", 1),
-                            ", timed out"
-                            if failure.get("timed_out") else ""))
+                            failure["error_type"], failure["message"],
+                            failure["attempts"],
+                            ", timed out" if failure["timed_out"] else ""))
     return "\n".join(lines)
 
 
@@ -299,10 +236,6 @@ def main(argv=None, out=None):
                         help="fan the suite out over N worker processes")
     parser.add_argument("--seed", type=int, default=1,
                         help="input-data seed (default 1)")
-    parser.add_argument("--no-check", action="store_true",
-                        help="skip result validation against references")
-    parser.add_argument("--no-compile-cache", action="store_true",
-                        help="disable the on-disk compile cache")
     parser.add_argument("--no-fusion", action="store_true",
                         help="disable superblock fusion (event kernel "
                              "falls back to word-by-word dispatch)")
@@ -368,9 +301,7 @@ def main(argv=None, out=None):
     config = baseline()
     if args.no_fusion:
         config = config.with_fusion(False)
-    harness = Harness(seed=args.seed, check=not args.no_check,
-                      compile_cache=False if args.no_compile_cache
-                      else "auto", sanitize=args.sanitize)
+    harness = Harness(seed=args.seed, sanitize=args.sanitize)
     # lanes == 1 keeps specs seedless (seed=None = harness seed), so
     # cell keys and journal digests match single-seed reports exactly.
     seeds = [args.seed + i for i in range(lanes)] if lanes > 1 else None
@@ -380,14 +311,6 @@ def main(argv=None, out=None):
     journal = args.resume
     if journal == "auto":
         journal = str(path) + ".journal.jsonl"
-    if journal is not None:
-        # Stamp the report schema into the journal header so a resume
-        # against a journal written before a schema bump fails loudly
-        # instead of replaying cells that lack the new fields.
-        from .experiments.supervision import SweepJournal
-        journal = SweepJournal(journal,
-                               header={**harness._journal_header(),
-                                       "report_schema": SCHEMA_VERSION})
     started = time.perf_counter()
     records, failed = run_suite(harness, specs, workers=args.workers,
                                 on_error=args.on_error,
@@ -402,7 +325,6 @@ def main(argv=None, out=None):
         "suite": "quick" if args.quick else "full",
         "workers": args.workers or 1,
         "seed": args.seed,
-        "engine": config.engine,
         "fusion": config.fusion,
         "sanitize": args.sanitize or "off",
         "backend": args.backend,

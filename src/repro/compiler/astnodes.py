@@ -8,7 +8,7 @@ Procedures (``kernel`` definitions invoked with ``call``) are
 macro-expanded; ``fork`` targets run as independent threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 INT = "i"
 FLOAT = "f"

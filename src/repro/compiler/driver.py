@@ -9,14 +9,13 @@ thread variant per distinct (kernel, placement) pair, and links fork
 bindings against callee parameter registers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CompileError
 from ..isa.instruction import DataSegment, Program
 from . import cache as compile_cache
 from . import liveness
-from .astnodes import (ExprStmt, Fork, If, Let, ProgramAST, Seq, SetVar,
-                       While)
+from .astnodes import Fork, If, Let, ProgramAST, Seq, While
 from .codegen import generate_thread
 from .frontend import parse_program
 from .lowering import lower_thread

@@ -19,9 +19,8 @@ arithmetic/comparison forms, ``aref``/``aref-ff``/``aref-fe``,
 from ..errors import CompileError
 from .astnodes import (Aref, Aset, BINOPS, BinOp, Call, ConstDecl, ExprStmt,
                        FLOAT, For, Forall, Fork, GlobalDecl, If, IfExpr, INT,
-                       KernelDef, Let, LOAD_FLAVORS, Num, ProgramAST, Seq,
-                       SetVar, STORE_FLAVORS, Sync, UnOp, UNOPS, Unroll, Var,
-                       While)
+                       KernelDef, Let, Num, ProgramAST, Seq, SetVar, Sync,
+                       UnOp, UNOPS, Unroll, Var, While)
 from .sexpr import Symbol, read_all, to_text
 
 _AREF = {"aref": "normal", "aref-ff": "ff", "aref-fe": "fe"}

@@ -15,10 +15,10 @@ execution can never satisfy it later.
 
 from dataclasses import dataclass
 
-from ..errors import CompileError, InterpError
-from .astnodes import (Aref, Aset, BINOPS, BinOp, ExprStmt, FLOAT, Fork, If,
-                       IfExpr, INT, Let, Num, PREDICATES, Seq, SetVar, Sync,
-                       UnOp, Var, While)
+from ..errors import InterpError
+from .astnodes import (Aref, Aset, BinOp, ExprStmt, FLOAT, Fork, If, IfExpr,
+                       INT, Let, Num, PREDICATES, Seq, SetVar, Sync, UnOp, Var,
+                       While)
 from .frontend import parse_program
 from .macroexpand import (Expander, expand_kernel, expand_thread,
                           fold_binop, fold_unop, resolve_consts)

@@ -10,7 +10,7 @@ from ..errors import CompileError
 from .astnodes import (Aref, Aset, BINOPS, BinOp, ExprStmt, FLOAT, Fork, If,
                        IfExpr, INT, Let, LOAD_FLAVORS, Num, PREDICATES, Seq,
                        SetVar, STORE_FLAVORS, Sync, UnOp, UNOPS, Var, While)
-from .ir import Const, IRInstr, ThreadIR, VReg
+from .ir import Const, IRInstr, ThreadIR
 
 
 class Lowerer:

@@ -11,9 +11,8 @@ substituted and folded.
 from ..errors import CompileError
 from ..isa.operations import opcode
 from .astnodes import (Aref, Aset, BINOPS, BinOp, Call, ExprStmt, FLOAT,
-                       For, Forall, Fork, If, IfExpr, INT, Let, Num,
-                       PREDICATES, Seq, SetVar, Sync, UnOp, UNOPS, Unroll,
-                       Var, While)
+                       For, Forall, Fork, If, IfExpr, INT, Let, Num, Seq,
+                       SetVar, Sync, UnOp, UNOPS, Unroll, Var, While)
 
 _INLINE_DEPTH_LIMIT = 64
 

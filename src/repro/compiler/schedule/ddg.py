@@ -30,7 +30,7 @@ iterations in parallel.  Any structural difference falls back to
 
 from dataclasses import dataclass
 
-from ..ir import Const, is_vreg
+from ..ir import Const
 
 _AFFINE_OPS = ("iadd", "isub", "imul", "ineg", "imov")
 

@@ -16,8 +16,8 @@ Run them from the command line::
 
 from . import figure5, figure6, figure7, figure8, paper, table2, table3
 from .runner import Harness, RunResult, RunSpec
-from .supervision import SupervisorPolicy, SweepJournal
+from .supervision import SweepJournal
 
 __all__ = ["figure5", "figure6", "figure7", "figure8", "paper",
            "table2", "table3", "Harness", "RunResult", "RunSpec",
-           "SupervisorPolicy", "SweepJournal"]
+           "SweepJournal"]

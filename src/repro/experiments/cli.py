@@ -30,8 +30,6 @@ def main(argv=None, out=None):
     parser.add_argument("target", choices=TARGETS)
     parser.add_argument("--seed", type=int, default=1,
                         help="input-data seed (default 1)")
-    parser.add_argument("--no-check", action="store_true",
-                        help="skip result validation against references")
     parser.add_argument("--quick", action="store_true",
                         help="resilience only: one benchmark, two fault "
                              "rates (CI smoke run)")
@@ -45,7 +43,7 @@ def main(argv=None, out=None):
                              "missing/FAILED and keep going (collect)")
     args = parser.parse_args(argv)
     out = out or sys.stdout
-    harness = Harness(seed=args.seed, check=not args.no_check)
+    harness = Harness(seed=args.seed)
     sweep = {"workers": args.workers, "on_error": args.on_error}
     started = time.time()
     want = lambda name: args.target in (name, "all")

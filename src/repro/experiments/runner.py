@@ -9,6 +9,10 @@ are bit-identical to serial ones: each cell's result depends only on
 its (benchmark, mode, config, seed), never on scheduling order, and
 every worker derives its inputs from the same harness seed.
 
+Every finished simulation is checked against its benchmark's
+reference before it becomes a :class:`RunResult`; wrong outputs raise
+:class:`~repro.errors.VerificationError`.
+
 Pooled execution is crash-isolated (see
 :mod:`repro.experiments.supervision`): a worker that raises, dies, or
 hangs costs only its own cell — captured as a structured
@@ -16,8 +20,9 @@ hangs costs only its own cell — captured as a structured
 while pool breakage is retried with backoff and, once retries are
 exhausted, re-executed serially in the parent.  Passing
 ``journal=path`` keeps an append-only JSONL ledger of completed
-cells, so an interrupted sweep resumes by replaying the ledger and
-re-running only the remainder.
+cells, one :meth:`RunResult.as_record` per line, so an interrupted
+sweep resumes by replaying the ledger and re-running only the
+remainder.
 """
 
 import time
@@ -28,7 +33,7 @@ from ..errors import CellFailure, ConfigError, VerificationError
 from ..machine import baseline
 from ..programs import get_benchmark
 from ..sim import run_program
-from .supervision import (ReplayedStats, Supervisor, SupervisorPolicy,
+from .supervision import (ON_ERROR_POLICIES, ReplayedStats, Supervisor,
                           SweepCell, SweepJournal, chaos_if_requested,
                           run_key_digest)
 
@@ -51,6 +56,12 @@ class RunSpec:
     seed: object = None
 
 
+#: The fields :meth:`RunResult.as_record` copies as they are.
+_PLAIN_FIELDS = ("benchmark", "mode", "cycles", "wall_seconds",
+                 "compile_seconds", "cache_hit", "backend", "lanes",
+                 "peeled_lanes")
+
+
 @dataclass
 class RunResult:
     """One benchmark x mode x machine simulation: its cycle count,
@@ -65,6 +76,10 @@ class RunResult:
     call :func:`repro.sim.run_program` on ``compiled.program``.
     ``compiled`` is shared with the harness compile cache; it is None
     on results replayed from a sweep journal.
+
+    :meth:`as_record` is the result's one serialized form: the sweep
+    journal writes it, :meth:`from_record` reads it back, and
+    ``repro bench`` reports it.
     """
 
     benchmark: str
@@ -74,7 +89,6 @@ class RunResult:
     utilization: dict               # unit-class name -> ops/cycle
     stats: object
     compiled: object
-    verified: bool
     wall_seconds: float = 0.0       # simulation wall clock
     compile_seconds: float = 0.0    # compilation wall clock (0 on hit)
     cache_hit: bool = False         # compile served from a cache?
@@ -111,6 +125,29 @@ class RunResult:
             return 0.0
         return self.cycles / self.wall_seconds
 
+    def as_record(self):
+        """The JSON-serializable form of this result.  The engine
+        counters ride beside ``stats``, whose summary stays identical
+        between fused and unfused runs."""
+        record = {name: getattr(self, name) for name in _PLAIN_FIELDS}
+        record.update(utilization=dict(self.utilization),
+                      stats=self.stats.summary(),
+                      fused_dispatches=self.stats.fused_dispatches,
+                      defuse_reasons=dict(self.stats.defuse_reasons),
+                      quarantined_blocks=self.stats.quarantined_blocks)
+        return record
+
+    @classmethod
+    def from_record(cls, record, config):
+        """Rebuild a result from :meth:`as_record`'s output, run on
+        ``config``: a replayed result without its compiled program."""
+        stats = ReplayedStats(record["stats"], record["fused_dispatches"],
+                              record["defuse_reasons"],
+                              record["quarantined_blocks"])
+        return cls(config=config, utilization=dict(record["utilization"]),
+                   stats=stats, compiled=None, replayed=True,
+                   **{name: record[name] for name in _PLAIN_FIELDS})
+
 
 class Harness:
     """Caches compilations (per machine signature) and simulations so
@@ -123,10 +160,9 @@ class Harness:
     instance is used as-is.
     """
 
-    def __init__(self, seed=1, check=True, max_cycles=5_000_000,
-                 compile_cache="auto", sanitize=None):
+    def __init__(self, seed=1, max_cycles=5_000_000, compile_cache="auto",
+                 sanitize=None):
         self.seed = seed
-        self.check = check
         self.max_cycles = max_cycles
         self.sanitize = sanitize
         if compile_cache == "auto":
@@ -188,7 +224,6 @@ class Harness:
         key = self._run_key(benchmark, mode, config, seed)
         if key in self._runs:
             return self._runs[key]
-        bench = get_benchmark(benchmark)
         started = time.perf_counter()
         compiled, cache_hit = self._compile_tracked(benchmark, mode,
                                                     config)
@@ -199,29 +234,33 @@ class Harness:
                           max_cycles=self.max_cycles,
                           sanitize=self.sanitize)
         wall_seconds = time.perf_counter() - started
-        verified = True
-        if self.check:
-            problems = bench.check(sim, inputs)
-            if problems:
-                raise VerificationError(
-                    benchmark, mode, config.name, problems,
-                    signature=run_key_digest(
-                        config.run_signature())[:12],
-                    seed=self.seed if seed is None else seed)
-        result = RunResult(benchmark, mode, config, sim.cycles,
-                           sim.stats.utilization_table(), sim.stats,
-                           compiled, verified,
-                           wall_seconds=wall_seconds,
-                           compile_seconds=compile_seconds,
-                           cache_hit=cache_hit)
+        result = self._checked(benchmark, mode, config, seed, sim,
+                               compiled, wall_seconds=wall_seconds,
+                               compile_seconds=compile_seconds,
+                               cache_hit=cache_hit)
         self._runs[key] = result
         return result
+
+    def _checked(self, benchmark, mode, config, seed, sim, compiled,
+                 **provenance):
+        """The result of one finished simulation, once
+        ``Benchmark.check`` has accepted its outputs; raises
+        :class:`VerificationError` when it reports a problem."""
+        problems = get_benchmark(benchmark).check(
+            sim, self.inputs_for(benchmark, seed))
+        if problems:
+            raise VerificationError(
+                benchmark, mode, config.name, problems,
+                signature=run_key_digest(config.run_signature())[:12],
+                seed=self.seed if seed is None else seed)
+        return RunResult(benchmark, mode, config, sim.cycles,
+                         sim.stats.utilization_table(), sim.stats,
+                         compiled, **provenance)
 
     # -- supervised fan-out ----------------------------------------------
 
     def run_many(self, specs, workers=None, on_error="raise",
-                 cell_timeout=None, retries=2, journal=None,
-                 policy=None, backend=None):
+                 cell_timeout=None, journal=None, backend=None):
         """Run a batch of specs, optionally across worker processes,
         under supervision.
 
@@ -251,20 +290,24 @@ class Harness:
         cancelling the queue; ``"collect"`` puts a
         :class:`~repro.errors.CellFailure` in that cell's result slot
         and keeps sweeping.  ``cell_timeout`` bounds each cell's wall
-        clock (pooled execution only); ``retries`` bounds
-        re-dispatches after worker-pool breakage before the cell runs
-        serially in the parent.  A prebuilt
-        :class:`~repro.experiments.supervision.SupervisorPolicy` via
-        ``policy`` overrides the three knobs.
+        clock in seconds (pooled execution only).  A cell whose worker
+        pool broke is re-dispatched up to ``supervision.MAX_RETRIES``
+        times before it runs serially in the parent.
 
         ``journal`` names an append-only JSONL ledger: completed cells
         are recorded as they finish, and cells already recorded there
         (from an interrupted earlier invocation) are *replayed* —
-        rebuilt as :class:`RunResult` with ``replayed=True`` — instead
-        of re-simulated.  Bundles journal per lane, so a resumed sweep
+        rebuilt by :meth:`RunResult.from_record` — instead of
+        re-simulated.  Bundles journal per lane, so a resumed sweep
         replays individual lanes no matter which backend recorded
         them.
         """
+        if on_error not in ON_ERROR_POLICIES:
+            raise ConfigError("on_error must be one of %s, got %r"
+                              % (ON_ERROR_POLICIES, on_error))
+        if cell_timeout is not None and cell_timeout <= 0:
+            raise ConfigError("cell_timeout must be positive, got %r"
+                              % (cell_timeout,))
         if backend not in (None, "pool", "batch"):
             raise ConfigError("backend must be 'pool' or 'batch', "
                               "got %r" % (backend,))
@@ -280,14 +323,11 @@ class Harness:
                     "(the sanitizer shadows the scalar kernels); "
                     "use backend='pool'")
         specs = [self._coerce_spec(spec) for spec in specs]
-        policy = policy or SupervisorPolicy(on_error=on_error,
-                                            cell_timeout=cell_timeout,
-                                            max_retries=retries)
         keyed = [(self._run_key(s.benchmark, s.mode,
                                 s.config or baseline(), s.seed), s)
                  for s in specs]
-        journal = self._open_journal(journal)
         if journal is not None:
+            journal = SweepJournal(journal, self._journal_header())
             self._replay_from_journal(journal, keyed)
         failures = {}
 
@@ -296,7 +336,7 @@ class Harness:
                 self._absorb(cell.key, outcome)
                 if journal is not None:
                     journal.record_ok(run_key_digest(cell.key),
-                                      _journal_record(outcome))
+                                      outcome.as_record())
             else:
                 failures[cell.key] = outcome
                 if journal is not None:
@@ -322,7 +362,7 @@ class Harness:
             else:
                 todo[key] = spec
         if backend == "batch":
-            work = self._plan_bundles(todo, policy.on_error)
+            work = self._plan_bundles(todo, on_error)
         else:
             work = todo
         try:
@@ -331,14 +371,13 @@ class Harness:
                           and len(work) > 1)
                 if pooled:
                     supervisor = Supervisor(
-                        policy, workers, _run_spec_in_worker,
-                        self._worker_payload(),
-                        self._serial_cell,
-                        on_complete=on_complete)
+                        workers, _run_spec_in_worker,
+                        self._worker_payload(), self._serial_cell,
+                        on_complete, on_error, cell_timeout)
                     pooled = supervisor.run(list(work.items())) \
                         is not None
                 if not pooled:
-                    self._run_serial(work, policy, on_complete)
+                    self._run_serial(work, on_error, on_complete)
         finally:
             if journal is not None:
                 journal.close()
@@ -357,7 +396,7 @@ class Harness:
         return self.run(spec.benchmark, spec.mode, spec.config,
                         spec.seed)
 
-    def _run_serial(self, todo, policy, on_complete):
+    def _run_serial(self, todo, on_error, on_complete):
         """In-process sweep execution under the same failure policy
         (timeouts cannot be enforced without a pool and are ignored
         here)."""
@@ -370,7 +409,7 @@ class Harness:
                     spec.benchmark, spec.mode, exc,
                     key_digest=run_key_digest(key))
                 on_complete(cell, failure)
-                if policy.on_error == "raise":
+                if on_error == "raise":
                     raise
             else:
                 on_complete(cell, result)
@@ -408,7 +447,6 @@ class Harness:
         first lane failure raises instead."""
         from ..sim.batch import run_batch
         config = bundle.lane_specs[0].config or baseline()
-        bench = get_benchmark(bundle.benchmark)
         started = time.perf_counter()
         compiled, cache_hit = self._compile_tracked(
             bundle.benchmark, bundle.mode, config)
@@ -437,22 +475,9 @@ class Harness:
                                      lanes=outcome.lanes,
                                      peeled_lanes=peeled)
                 else:
-                    verified = True
-                    if self.check:
-                        problems = bench.check(sim, lane_inputs[lane])
-                        if problems:
-                            raise VerificationError(
-                                spec.benchmark, spec.mode, config.name,
-                                problems,
-                                signature=run_key_digest(
-                                    config.run_signature())[:12],
-                                seed=self.seed if spec.seed is None
-                                else spec.seed)
-                    result = RunResult(
-                        spec.benchmark, spec.mode, config, sim.cycles,
-                        sim.stats.utilization_table(), sim.stats,
-                        compiled, verified,
-                        wall_seconds=wall_share,
+                    result = self._checked(
+                        spec.benchmark, spec.mode, config, spec.seed, sim,
+                        compiled, wall_seconds=wall_share,
                         compile_seconds=compile_share,
                         cache_hit=cache_hit, backend="batch",
                         lanes=outcome.lanes, peeled_lanes=peeled)
@@ -493,13 +518,7 @@ class Harness:
         ``sanitize`` is deliberately absent: a sanitized run that does
         not trip is bit-identical to a plain one, so sanitized and
         unsanitized sweeps may share a journal."""
-        return {"seed": self.seed, "check": self.check,
-                "max_cycles": self.max_cycles}
-
-    def _open_journal(self, journal):
-        if journal is None or isinstance(journal, SweepJournal):
-            return journal
-        return SweepJournal(journal, header=self._journal_header())
+        return {"seed": self.seed, "max_cycles": self.max_cycles}
 
     def _replay_from_journal(self, journal, keyed):
         """Rebuild RunResults for every cell of this sweep already
@@ -508,28 +527,9 @@ class Harness:
             if key in self._runs:
                 continue
             record = journal.completed(run_key_digest(key))
-            if record is None:
-                continue
-            result = RunResult(
-                record["benchmark"], record["mode"],
-                spec.config or baseline(), record["cycles"],
-                dict(record["utilization"]),
-                ReplayedStats(record["stats"],
-                              fused_dispatches=record.get(
-                                  "fused_dispatches", 0),
-                              defuse_reasons=record.get(
-                                  "defuse_reasons"),
-                              quarantined_blocks=record.get(
-                                  "quarantined_blocks", 0)),
-                None, record.get("verified", True),
-                wall_seconds=record.get("wall_seconds", 0.0),
-                compile_seconds=record.get("compile_seconds", 0.0),
-                cache_hit=record.get("cache_hit", False),
-                replayed=True,
-                backend=record.get("backend", "scalar"),
-                lanes=record.get("lanes", 1),
-                peeled_lanes=record.get("peeled_lanes", 0))
-            self._absorb(key, result)
+            if record is not None:
+                self._absorb(key, RunResult.from_record(
+                    record, spec.config or baseline()))
 
     @staticmethod
     def _coerce_spec(spec):
@@ -540,8 +540,7 @@ class Harness:
     def _worker_payload(self):
         cache_root = self.disk_cache.root if self.disk_cache is not None \
             else None
-        return (self.seed, self.check, self.max_cycles, cache_root,
-                self.sanitize)
+        return self.seed, self.max_cycles, cache_root, self.sanitize
 
     def _absorb(self, key, result):
         """Merge one worker result into the run and compile caches."""
@@ -550,28 +549,6 @@ class Harness:
             ckey = (result.benchmark, result.mode,
                     result.config.schedule_signature())
             self._compiled.setdefault(ckey, result.compiled)
-
-
-def _journal_record(result):
-    """The JSON-serializable slice of a RunResult a journal keeps —
-    enough to rebuild everything the report generators read."""
-    return {"benchmark": result.benchmark, "mode": result.mode,
-            "cycles": result.cycles,
-            "utilization": dict(result.utilization),
-            "stats": result.stats.summary(),
-            "fused_dispatches":
-                getattr(result.stats, "fused_dispatches", 0),
-            "defuse_reasons":
-                dict(getattr(result.stats, "defuse_reasons", None) or {}),
-            "quarantined_blocks":
-                getattr(result.stats, "quarantined_blocks", 0),
-            "verified": result.verified,
-            "wall_seconds": result.wall_seconds,
-            "compile_seconds": result.compile_seconds,
-            "cache_hit": result.cache_hit,
-            "backend": result.backend,
-            "lanes": result.lanes,
-            "peeled_lanes": result.peeled_lanes}
 
 
 class _BatchBundle:
@@ -604,9 +581,9 @@ def _run_spec_in_worker(payload, spec):
     chaos hook fires only here — never in the parent — so the
     serial-fallback path completes cells whose workers always die."""
     chaos_if_requested(spec.benchmark, spec.mode)
-    seed, check, max_cycles, cache_root, sanitize = payload
+    seed, max_cycles, cache_root, sanitize = payload
     cache = CompileCache(cache_root) if cache_root is not None else None
-    harness = Harness(seed=seed, check=check, max_cycles=max_cycles,
+    harness = Harness(seed=seed, max_cycles=max_cycles,
                       compile_cache=cache, sanitize=sanitize)
     if isinstance(spec, _BatchBundle):
         return harness._run_bundle(spec)

@@ -4,35 +4,33 @@ and a journaled ledger for :meth:`Harness.run_many`.
 The paper's evaluation grid is embarrassingly parallel, which also
 means individual-worker failure is the *common* case at scale: one
 segfaulting worker, one hung cell, or one interrupted invocation must
-not cost the whole sweep.  This module supplies the three mechanisms
+not cost the whole sweep.  This module supplies the two mechanisms
 the harness composes:
 
-* :class:`SupervisorPolicy` — what to do when a cell fails
-  (``on_error="raise"|"collect"``), how long a cell may run
-  (``cell_timeout``), and how many times a cell may be re-dispatched
-  after its worker pool broke underneath it (``max_retries`` with
-  exponential backoff).
-
 * :class:`Supervisor` — a sliding-window scheduler over a
-  ``ProcessPoolExecutor``.  Cells are submitted at most ``workers`` at
-  a time so submit time ≈ start time and per-cell deadlines are
+  ``ProcessPoolExecutor``, told what to do when a cell fails
+  (``on_error="raise"|"collect"``) and how long a cell may run
+  (``cell_timeout``).  Cells are submitted at most ``workers`` at a
+  time so submit time ≈ start time and per-cell deadlines are
   meaningful.  A Python-level exception from a worker is deterministic
   and fails only its own cell; a *broken pool* (worker SIGKILL, OOM)
-  is transient: the pool is torn down, every in-flight cell is charged
-  one attempt and requeued, and cells that exhaust their attempts are
-  re-executed serially in the parent — so a worker that dies every
-  time still cannot sink the sweep.  A cell past its deadline is
-  failed with :class:`CellTimeoutError`, its (possibly hung) pool is
-  killed, and the innocent in-flight cells are requeued unpenalized.
+  is transient: the pool is torn down and rebuilt after an
+  exponential :func:`backoff`, every in-flight cell is charged one
+  attempt and requeued, and a cell that exhausts its
+  :data:`MAX_RETRIES` re-dispatches runs serially in the parent — so
+  a worker that dies every time still cannot sink the sweep.  A cell
+  past its deadline is failed with :class:`CellTimeoutError`, its
+  (possibly hung) pool is killed, and the innocent in-flight cells
+  are requeued unpenalized.
 
 * :class:`SweepJournal` — an append-only JSONL ledger keyed by a
   digest of the harness run key (which covers the full
   ``MachineConfig.run_signature()``).  Every completed cell — ok or
   failed — is journaled as soon as it finishes, so
   ``run_many(..., journal=path)`` after a kill replays the completed
-  cells from disk and re-runs only the remainder.  Replayed results
-  are bit-identical in everything the journal records (cycles,
-  statistics, utilization); only the ``compiled`` program is absent
+  cells from disk and re-runs only the remainder.  Each ok line is a
+  ``RunResult.as_record()``; ``RunResult.from_record`` rebuilds it
+  with everything but the ``compiled`` program
   (``RunResult.replayed`` is True).
 
 The ``REPRO_CHAOS_WORKER`` environment flag (test/CI only) makes a
@@ -45,15 +43,22 @@ import os
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass
 
-from ..errors import (CellFailure, CellTimeoutError, ConfigError,
-                      SweepJournalError)
+from ..errors import CellFailure, CellTimeoutError, SweepJournalError
 
-#: Bump when the journal line format changes incompatibly.
-JOURNAL_VERSION = 1
+#: Bump when the journal line format changes incompatibly: a journal
+#: of another version is refused rather than replayed.
+JOURNAL_VERSION = 2
 
 ON_ERROR_POLICIES = ("raise", "collect")
+
+#: Re-dispatches of a cell after its worker pool broke, before the
+#: cell runs serially in the parent.
+MAX_RETRIES = 2
+#: Pool rebuild *i* first sleeps ``min(BACKOFF_CAP, BACKOFF_BASE *
+#: 2**(i-1))`` seconds.
+BACKOFF_BASE = 0.1
+BACKOFF_CAP = 2.0
 
 
 def run_key_digest(key):
@@ -65,43 +70,10 @@ def run_key_digest(key):
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Failure policy for one supervised sweep.
-
-    ``on_error="raise"`` aborts the sweep on the first cell failure
-    (after cancelling everything still queued); ``"collect"`` records
-    a :class:`CellFailure` and keeps going.  ``cell_timeout`` is the
-    per-cell wall-clock budget in seconds (None = unlimited; enforced
-    only under pooled execution).  ``max_retries`` bounds how many
-    times a cell is re-dispatched to a rebuilt pool after pool
-    breakage before falling back to in-parent serial execution;
-    rebuild *i* sleeps ``min(backoff_cap, backoff_base * 2**(i-1))``.
-    """
-
-    on_error: str = "raise"
-    cell_timeout: float = None
-    max_retries: int = 2
-    backoff_base: float = 0.1
-    backoff_cap: float = 2.0
-
-    def __post_init__(self):
-        if self.on_error not in ON_ERROR_POLICIES:
-            raise ConfigError("on_error must be one of %s, got %r"
-                              % (ON_ERROR_POLICIES, self.on_error))
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ConfigError("cell_timeout must be positive, got %r"
-                              % (self.cell_timeout,))
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0, got %r"
-                              % (self.max_retries,))
-
-    def backoff(self, rebuild):
-        """Sleep before pool rebuild number ``rebuild`` (1-based)."""
-        if rebuild <= 0 or self.backoff_base <= 0:
-            return 0.0
-        return min(self.backoff_cap,
-                   self.backoff_base * (2.0 ** (rebuild - 1)))
+def backoff(rebuild):
+    """Seconds to sleep before pool rebuild number ``rebuild``
+    (1-based)."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * 2.0 ** (rebuild - 1))
 
 
 class ReplayedStats:
@@ -168,19 +140,14 @@ class SweepJournal:
                 continue
             if record.get("kind") == "header":
                 recorded = {k: record.get(k) for k in self.header}
+                if recorded["version"] != JOURNAL_VERSION:
+                    raise SweepJournalError(
+                        "journal %s has format version %s but this "
+                        "build writes version %s; re-run the sweep "
+                        "with a fresh journal"
+                        % (self.path, recorded["version"],
+                           JOURNAL_VERSION))
                 if recorded != self.header:
-                    expect = self.header.get("report_schema")
-                    got = recorded.get("report_schema")
-                    if expect is not None and got != expect:
-                        # A schema bump changed what each cell record
-                        # carries; replaying old cells would produce a
-                        # report missing the new fields.
-                        raise SweepJournalError(
-                            "journal %s records report schema %s but "
-                            "this build writes schema %s; re-run the "
-                            "sweep with a fresh journal (old journals "
-                            "cannot be resumed across a schema bump)"
-                            % (self.path, got, expect))
                     raise SweepJournalError(
                         "journal %s was written by a different sweep: "
                         "header %r vs current %r"
@@ -227,8 +194,7 @@ class SweepJournal:
             pass
 
     def record_ok(self, digest, record):
-        """Journal one completed cell.  ``record`` must be
-        JSON-serializable (the harness shapes it from the RunResult)."""
+        """Journal one completed cell, a ``RunResult.as_record()``."""
         self._ensure_open()
         entry = dict(record)
         entry.update(kind="cell", key=digest, status="ok")
@@ -275,6 +241,7 @@ class Supervisor:
     no-pool degradation path).  ``on_complete(cell, outcome)`` fires
     once per finished cell — RunResult or CellFailure — *before* any
     policy-triggered raise, so the journal always sees the completion.
+    ``on_error`` and ``cell_timeout`` are ``Harness.run_many``'s.
     """
 
     #: Exceptions treated as transient infrastructure failures: the
@@ -283,15 +250,15 @@ class Supervisor:
     #: and fails the cell immediately.
     TRANSIENT = None                # filled lazily (import cost)
 
-    def __init__(self, policy, workers, worker_fn, payload, serial_fn,
-                 on_complete=None, sleep=time.sleep):
-        self.policy = policy
+    def __init__(self, workers, worker_fn, payload, serial_fn,
+                 on_complete, on_error, cell_timeout):
         self.workers = max(1, int(workers))
         self.worker_fn = worker_fn
         self.payload = payload
         self.serial_fn = serial_fn
-        self.on_complete = on_complete or (lambda cell, outcome: None)
-        self.sleep = sleep
+        self.on_complete = on_complete
+        self.on_error = on_error
+        self.cell_timeout = cell_timeout
         self.rebuilds = 0
         self.outcomes = {}
 
@@ -342,7 +309,7 @@ class Supervisor:
             key_digest=run_key_digest(cell.key))
         self.outcomes[cell.key] = failure
         self.on_complete(cell, failure)
-        if self.policy.on_error == "raise":
+        if self.on_error == "raise":
             self._kill_pool(pool)
             raise exc
 
@@ -367,14 +334,12 @@ class Supervisor:
         for cell in suspects:
             cell.attempts += 1
             cell.deadline = None
-            if cell.attempts > self.policy.max_retries:
+            if cell.attempts > MAX_RETRIES:
                 self._run_serial(cell)
             else:
                 queue.append(cell)
         self.rebuilds += 1
-        pause = self.policy.backoff(self.rebuilds)
-        if pause > 0:
-            self.sleep(pause)
+        time.sleep(backoff(self.rebuilds))
         return self._make_pool()
 
     def _handle_timeout(self, pool, in_flight, queue):
@@ -391,7 +356,7 @@ class Supervisor:
         in_flight.clear()
         for cell in overdue:
             exc = CellTimeoutError(cell.spec.benchmark, cell.spec.mode,
-                                   self.policy.cell_timeout)
+                                   self.cell_timeout)
             self._fail(cell, exc, pool=pool)
         self._kill_pool(pool)
         for cell in innocent:
@@ -434,14 +399,14 @@ class Supervisor:
                         in_flight[_SubmitFailed(cell)] = cell
                         pool = self._handle_break(pool, in_flight, queue)
                         break
-                    if self.policy.cell_timeout:
+                    if self.cell_timeout:
                         cell.deadline = (time.monotonic()
-                                         + self.policy.cell_timeout)
+                                         + self.cell_timeout)
                     in_flight[future] = cell
                 if not in_flight:
                     continue
                 timeout = None
-                if self.policy.cell_timeout:
+                if self.cell_timeout:
                     timeout = max(0.0,
                                   min(c.deadline
                                       for c in in_flight.values())
@@ -468,9 +433,12 @@ class Supervisor:
                         self._complete(cell, result)
                 if broke:
                     pool = self._handle_break(pool, in_flight, queue)
-        finally:
+        except BaseException:
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        if pool is not None:
+            pool.shutdown(wait=True)     # join the idle workers
         return self.outcomes
 
 

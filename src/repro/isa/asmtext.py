@@ -23,7 +23,7 @@ joined with ``&`` (at most two); immediates are written ``#value``.
 
 from ..errors import AsmError
 from .instruction import InstructionWord, Operation, Program, ThreadProgram
-from .operands import Imm, Label, Reg, parse_operand, parse_reg
+from .operands import Label, parse_operand, parse_reg
 from .operations import opcode
 
 

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 
 from ..errors import AsmError
-from .operands import Imm, Label, Reg, is_source
+from .operands import Label, Reg, is_source
 from .operations import UnitClass, opcode
 
 

@@ -21,7 +21,7 @@ st_ef     wait until empty   set full
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import AsmError

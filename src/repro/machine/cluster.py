@@ -5,7 +5,7 @@ cluster can write to its own register file or to another cluster's
 through the unit interconnection network (paper Section 2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..isa.instruction import unit_id

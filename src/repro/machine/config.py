@@ -7,14 +7,14 @@ the unit interconnection network, and the memory model.  Both the
 compiler (for static scheduling) and the simulator consume it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..isa.operations import UnitClass
 from .cluster import ClusterSpec, arithmetic_cluster, branch_cluster
 from .interconnect import CommScheme, InterconnectSpec
-from .memory import MemorySpec, min_memory
-from .units import FunctionUnitSpec, bru, fpu, iu, mem
+from .memory import min_memory
+from .units import FunctionUnitSpec, fpu, iu, mem
 
 #: Arbitration policies for unit contention between threads.
 ARBITRATION_POLICIES = ("priority", "round-robin")

@@ -32,7 +32,6 @@ memory contents and presence bits, RNG draw order, fault interactions —
 is bit-identical to the scan kernel; ``tests/property`` enforces this.
 """
 
-import copy
 from bisect import bisect_left
 from collections import defaultdict
 from heapq import heappop, heappush

@@ -8,7 +8,7 @@ for a register-file port or bus.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)

@@ -2,8 +2,6 @@
 and construction of the initial memory image."""
 
 from ..errors import SimulationError
-from ..isa.operations import UnitClass
-from ..isa.instruction import parse_unit_id
 
 
 def validate_program(program, config):

@@ -17,7 +17,7 @@ atomic-update idioms deterministic.
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SimulationError
 from ..isa.operations import (POST_EMPTY, POST_FULL, POST_KEEP, PRE_ALWAYS,

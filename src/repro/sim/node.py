@@ -32,7 +32,7 @@ from .loader import load_memory, validate_program
 from .memory import MemRequest, MemorySystem
 from .opcache import OperationCache
 from .stats import Stats
-from .thread import ACTIVE, DONE, ThreadContext
+from .thread import ThreadContext
 
 
 @dataclass

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from ..errors import (DivergenceError, InvariantViolation, SanitizerError,
                       SimulationError)
-from .node import Node, SimResult, make_node
+from .node import Node, make_node
 from .stats import ENGINE_STAT_FIELDS
 
 #: Recognized sanitizer levels, weakest to strongest.

@@ -30,12 +30,43 @@ def small_config():
     return single_cluster()
 
 
+#: The keys of ``RunResult.as_record()``: a sweep journal's cell line
+#: and a ``repro bench`` result hold these.
+RECORD_KEYS = {"benchmark", "mode", "cycles", "utilization", "stats",
+               "fused_dispatches", "defuse_reasons", "quarantined_blocks",
+               "wall_seconds", "compile_seconds", "cache_hit", "backend",
+               "lanes", "peeled_lanes"}
+
+
 def compile_and_run(source, config, mode="sts", overrides=None, **kwargs):
     """Compile source and simulate it; returns the SimResult."""
     from repro import compile_program, run_program
     compiled = compile_program(source, config, mode=mode)
     return run_program(compiled.program, config, overrides=overrides,
                        **kwargs)
+
+
+def run_three_kernels(program, config, overrides=None):
+    """Run ``program`` on the scan, unfused event and fused event
+    kernels and assert they agree in cycles, ``Stats.summary()``,
+    memory values and presence bits; returns the fused run.
+
+    Fusion warmup is forced to one dispatch, so even a short generated
+    program reaches superblock code instead of staying interpreted."""
+    from repro.sim import predecode, run_program
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predecode, "_WARMUP_DISPATCHES", 1)
+        scan, event, fused = [
+            run_program(program, config.with_engine(engine)
+                        .with_fusion(fusion), overrides=overrides)
+            for engine, fusion in (("scan", False), ("event", False),
+                                   ("event", True))]
+    for label, other in (("event", event), ("fused", fused)):
+        assert other.cycles == scan.cycles, label
+        assert other.stats.summary() == scan.stats.summary(), label
+        assert other.memory._values == scan.memory._values, label
+        assert other.memory._empty == scan.memory._empty, label
+    return fused
 
 
 def assert_matches_interp(source, config, modes=("sts",), overrides=None):

@@ -6,26 +6,27 @@ repro.experiments.supervision.chaos_if_requested.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
+from repro.experiments import supervision
 from repro.experiments.runner import Harness, RunSpec
-from repro.experiments.supervision import SupervisorPolicy
 
 SPECS = [RunSpec("matrix", "seq"), RunSpec("matrix", "coupled"),
          RunSpec("fft", "coupled"), RunSpec("lud", "coupled")]
 
 
-def _harness():
-    return Harness(compile_cache=False)
-
-
-def _policy(**overrides):
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
     # Near-zero backoff: chaos tests rebuild pools repeatedly and must
     # not sit in real exponential-backoff sleeps.
-    knobs = {"backoff_base": 0.01, "backoff_cap": 0.05}
-    knobs.update(overrides)
-    return SupervisorPolicy(**knobs)
+    monkeypatch.setattr(supervision, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(supervision, "BACKOFF_CAP", 0.05)
+
+
+def _harness():
+    return Harness(compile_cache=False)
 
 
 def _serial_baseline():
@@ -48,8 +49,7 @@ class TestCrashRecovery:
         sentinel = tmp_path / "fired"
         monkeypatch.setenv("REPRO_CHAOS_WORKER",
                            "matrix/coupled@%s" % sentinel)
-        results = _harness().run_many(SPECS, workers=2,
-                                      policy=_policy())
+        results = _harness().run_many(SPECS, workers=2)
         assert sentinel.exists()               # the chaos really fired
         assert [(r.benchmark, r.mode, r.cycles, r.stats.summary())
                 for r in results] == baseline
@@ -61,17 +61,16 @@ class TestCrashRecovery:
         # (where chaos never fires) — the sweep still completes and
         # matches the serial run bit for bit.
         monkeypatch.setenv("REPRO_CHAOS_WORKER", "matrix/coupled")
-        results = _harness().run_many(
-            SPECS, workers=2, policy=_policy(max_retries=1))
+        monkeypatch.setattr(supervision, "MAX_RETRIES", 1)
+        results = _harness().run_many(SPECS, workers=2)
         assert [(r.benchmark, r.mode, r.cycles, r.stats.summary())
                 for r in results] == baseline
 
     def test_hung_worker_times_out_and_is_collected(self, baseline,
                                                     monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS_WORKER", "matrix/coupled:hang")
-        results = _harness().run_many(
-            SPECS, workers=2,
-            policy=_policy(on_error="collect", cell_timeout=2.0))
+        results = _harness().run_many(SPECS, workers=2, on_error="collect",
+                                      cell_timeout=2.0)
         by_cell = {(SPECS[i].benchmark, SPECS[i].mode): results[i]
                    for i in range(len(SPECS))}
         failure = by_cell[("matrix", "coupled")]
@@ -90,7 +89,12 @@ class TestCrashRecovery:
         with pytest.raises(CellTimeoutError):
             _harness().run_many(
                 [RunSpec("matrix", "coupled"), RunSpec("matrix", "seq")],
-                workers=2, policy=_policy(cell_timeout=2.0))
+                workers=2, cell_timeout=2.0)
+
+
+def test_pooled_sweep_joins_its_workers():
+    _harness().run_many(SPECS[:3], workers=2)
+    assert multiprocessing.active_children() == []
 
 
 class TestJournalResumeAfterKill:
@@ -136,8 +140,7 @@ class TestJournalResumeAfterKill:
         monkeypatch.setenv("REPRO_CHAOS_WORKER",
                            "fft/coupled@%s" % sentinel)
         first = _harness().run_many(SPECS, workers=2,
-                                    journal=str(journal),
-                                    policy=_policy())
+                                    journal=str(journal))
         assert [(r.benchmark, r.mode, r.cycles, r.stats.summary())
                 for r in first] == baseline
         monkeypatch.delenv("REPRO_CHAOS_WORKER")

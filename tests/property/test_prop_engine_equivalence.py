@@ -23,7 +23,8 @@ from repro.experiments.paper import MODE_ORDER
 from repro.machine import baseline, mem2, unit_mix
 from repro.programs import get_benchmark
 from repro.programs.suite import BENCHMARK_ORDER
-from repro.sim import EventNode, FaultPlan, Node, make_node, run_program
+from repro.sim import (EventNode, FaultPlan, Node, event, make_node,
+                       run_program)
 from repro.sim.batch import batch_supported, run_batch
 
 
@@ -194,11 +195,12 @@ def test_superblocks_dispatch_on_lud_and_model(bench_name, mode):
     assert result.stats.fused_dispatches > 0
 
 
-#: Interleaved fusion miscounts lud/coupled on four Figure 8 machines.
-#: Strict, so the deletion that mends them must also remove the marks.
+#: Interleaved fusion miscounts lud/coupled on four Figure 8 machines,
+#: and a threaded program on the baseline machine.  Strict, so the
+#: deletion that mends them must also remove the marks.
 _MT_MISCOUNT = pytest.mark.xfail(
     strict=True,
-    reason="interleaved fusion miscounts lud/coupled here; see ROADMAP "
+    reason="interleaved fusion miscounts this run; see ROADMAP "
            "'Restore bit-identity by deleting interleaved fusion'")
 
 
@@ -225,6 +227,42 @@ def test_fused_lud_coupled_on_figure8_machines(n_iu, n_fpu):
                       for fusion in (True, False))
     assert fused.cycles == unfused.cycles
     assert fused.stats.summary() == unfused.stats.summary()
+
+
+#: A threaded program hypothesis shrank with interleaved fusion warmed
+#: up after one sighting: fused, it runs 123 cycles on the baseline
+#: machine, where the unfused and scan kernels run 122.
+_MT_COUNTEREXAMPLE = """
+(program
+  (const N 12) (const NW 3)
+  (global IN N) (global OUT N) (global done NW :int :empty)
+  (kernel work (t)
+    (let ((i t))
+      (while (< i N)
+        (aset! OUT i (+ (aref IN i) (* 0.5 (float i))))
+        (set! i (+ i NW))))
+    (aset-ef! done t 1))
+  (main
+    (forall (t 0 NW) (work t))
+    (for (t 0 NW) (sync (aref-fe done t)))
+    (for (i 0 12) (aset! OUT i (* (aref OUT i) 2.0)))))
+"""
+
+
+@_MT_MISCOUNT
+def test_fused_threaded_counterexample_on_baseline(monkeypatch):
+    """The miscount is not confined to Figure 8's mixed clusters.
+    ``raising=False`` keeps the case running once the warmup constant
+    is gone with interleaved fusion."""
+    monkeypatch.setattr(event, "_MT_WARMUP", 1, raising=False)
+    config = baseline()
+    compiled = compile_program(_MT_COUNTEREXAMPLE, config, mode="coupled")
+    inputs = {"IN": [0.5 * i - 2.0 for i in range(12)]}
+    results = {name: run_program(compiled.program, select(config),
+                                 overrides=inputs)
+               for name, select in ENGINES}
+    for name in ("event", "fused"):
+        _assert_identical(results["scan"], results[name], name)
 
 
 class TestInterleavedFusion:

@@ -42,7 +42,6 @@ def _same_cell(got, want):
     assert got.benchmark == want.benchmark
     assert got.mode == want.mode
     assert got.cycles == want.cycles
-    assert got.verified == want.verified
     assert got.stats.summary() == want.stats.summary()
 
 

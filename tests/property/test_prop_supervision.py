@@ -6,15 +6,23 @@ sampled crash site recovers via retry."""
 import os
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from repro.experiments import supervision
 from repro.experiments.runner import Harness, RunSpec
-from repro.experiments.supervision import SupervisorPolicy
 
 SUITE = [("matrix", "seq"), ("matrix", "coupled"),
          ("fft", "coupled"), ("lud", "coupled")]
 
-POLICY = SupervisorPolicy(backoff_base=0.01, backoff_cap=0.05)
+
+@pytest.fixture(autouse=True, scope="module")
+def short_backoff():
+    # Near-zero backoff: every sampled crash rebuilds the pool.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(supervision, "BACKOFF_BASE", 0.01)
+        patch.setattr(supervision, "BACKOFF_CAP", 0.05)
+        yield
 
 
 def _fingerprint(results):
@@ -48,8 +56,7 @@ class TestSupervisedEqualsSerial:
         try:
             harness = Harness(compile_cache=False)
             results = harness.run_many(
-                [RunSpec(b, m) for b, m in SUITE],
-                workers=workers, policy=POLICY)
+                [RunSpec(b, m) for b, m in SUITE], workers=workers)
         finally:
             del os.environ["REPRO_CHAOS_WORKER"]
         assert _fingerprint(results) == serial_fingerprint()

@@ -1,7 +1,8 @@
 """Differential property testing of *threaded* programs: random
 parallel-map workloads (disjoint strided writes + flag joins) must
 match the reference interpreter in TPE and Coupled modes, under random
-memory latencies."""
+memory latencies, and the scan, event and fused kernels must agree on
+them."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from repro import compile_program, interpret, run_program
 from repro.machine import baseline
 from repro.machine.memory import MemorySpec
+from tests.conftest import run_three_kernels
 
 ARRAY = 12
 
@@ -83,7 +85,9 @@ class TestThreadedDifferential:
         config = baseline()
         expected = interpret(source, overrides=INPUT)
         compiled = compile_program(source, config, mode=mode)
-        result = run_program(compiled.program, config, overrides=INPUT)
+        result = run_three_kernels(compiled.program, config,
+                                   overrides=INPUT)
+        assert result.stats.fused_dispatches > 0, source
         assert result.read_symbol("OUT") == expected.read_symbol("OUT"), \
             source
 

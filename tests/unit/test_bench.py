@@ -8,21 +8,21 @@ from repro.bench import (QUICK_BENCHMARKS, aggregate_cycles_per_sec,
                          compare_reports, main, suite_specs)
 from repro.machine import baseline
 from repro.sim.batch import batch_supported
+from tests.conftest import RECORD_KEYS
 
 needs_numpy = pytest.mark.skipif(not batch_supported(),
                                  reason="the batch backend requires numpy")
 
 
 def _report(cells, **top):
-    report = {"schema": 2, "results": cells}
+    report = {"schema": 6, "results": cells}
     report.update(top)
     return report
 
 
-def _cell(benchmark, mode, cycles, wall_s):
+def _cell(benchmark, mode, cycles, wall_seconds):
     return {"benchmark": benchmark, "mode": mode, "cycles": cycles,
-            "wall_s": wall_s,
-            "cycles_per_sec": round(cycles / wall_s, 1)}
+            "wall_seconds": wall_seconds}
 
 
 class TestAggregate:
@@ -48,17 +48,14 @@ class TestAggregate:
         assert aggregate_cycles_per_sec(records) == 2000.0
 
     def test_zero_wall_cells_excluded_from_both_sums(self):
-        # Journal-replayed cells recorded before wall capture existed
-        # come back with wall_s 0.0; counting their cycles against no
-        # wall would inflate the aggregate, so they drop out entirely.
+        # Counting a cell's cycles against no wall would inflate the
+        # aggregate, so a cell without wall clock drops out entirely.
         records = [_cell("a", "seq", 1000, 2.0),
-                   {"benchmark": "b", "mode": "seq", "cycles": 10 ** 9,
-                    "wall_s": 0.0, "cycles_per_sec": 0.0}]
+                   _cell("b", "seq", 10 ** 9, 0.0)]
         assert aggregate_cycles_per_sec(records) == 500.0
 
     def test_all_zero_wall_is_zero(self):
-        records = [{"benchmark": "a", "mode": "seq", "cycles": 100,
-                    "wall_s": 0.0, "cycles_per_sec": 0.0}]
+        records = [_cell("a", "seq", 100, 0.0)]
         assert aggregate_cycles_per_sec(records) == 0.0
 
 
@@ -124,9 +121,9 @@ class TestCompareReports:
         assert all("KeyError" not in p for p in problems)
 
     def test_seeded_cells_compare_per_seed(self):
-        # Schema-5 batch reports carry one record per (benchmark,
-        # mode, seed); the gate must key on all three, not collapse
-        # seeds into one cell.
+        # Batch reports carry one record per (benchmark, mode, seed);
+        # the gate must key on all three, not collapse seeds into one
+        # cell.
         ref_cells = [dict(_cell("matrix", "seq", 100, 0.01), seed=1),
                      dict(_cell("matrix", "seq", 120, 0.01), seed=2)]
         reference = _report(ref_cells)
@@ -138,9 +135,25 @@ class TestCompareReports:
         assert len(problems) == 1
         assert "120 to 121" in problems[0]
 
+    def test_schema5_reference_compares_on_cycles(self):
+        # Schema 5 named the wall clocks wall_s/compile_s and carried
+        # operations and cycles_per_sec; the gate reads only identity
+        # and cycles, so an older reference still serves.
+        old = lambda cycles: {"benchmark": "matrix", "mode": "seq",
+                              "cycles": cycles, "operations": 7,
+                              "wall_s": 0.01, "compile_s": 0.1,
+                              "cycles_per_sec": cycles / 0.01}
+        reference = {"schema": 5, "engine": "event",
+                     "results": [old(100)], "failed": []}
+        current = _report([_cell("matrix", "seq", 100, 0.02)])
+        assert compare_reports(current, reference) == []
+        drifted = _report([_cell("matrix", "seq", 101, 0.02)])
+        assert compare_reports(drifted, reference) == \
+            ["matrix/seq: simulated cycles drifted from 100 to 101"]
+
     def test_seedless_reference_matches_seedless_current(self):
         # A seeded current report shares no cells with a seedless
-        # (schema-4) reference: the seed axis is part of identity.
+        # reference: the seed axis is part of identity.
         seeded = _report([dict(_cell("matrix", "seq", 100, 0.01),
                                seed=1)])
         problems = compare_reports(seeded, self.reference)
@@ -175,20 +188,22 @@ class TestSuiteSpecs:
 
 
 class TestBenchCommand:
+    @pytest.fixture(autouse=True)
+    def no_compile_cache(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+
     def _run(self, tmp_path, *extra):
         import io
         out = io.StringIO()
         path = tmp_path / "bench.json"
-        code = main(["--quick", "-o", str(path),
-                     "--no-compile-cache"] + list(extra), out=out)
+        code = main(["--quick", "-o", str(path)] + list(extra), out=out)
         report = json.load(open(path)) if path.exists() else None
         return code, out.getvalue(), report
 
     def test_report_schema_and_gate(self, tmp_path):
         code, text, report = self._run(tmp_path)
         assert code == 0
-        assert report["schema"] == 5
-        assert report["engine"] == "event"
+        assert report["schema"] == 6
         assert report["fusion"] is True
         assert report["sanitize"] == "off"
         assert report["on_error"] == "raise"
@@ -198,16 +213,17 @@ class TestBenchCommand:
         assert report["failed"] == []
         assert report["aggregate_cycles_per_sec"] > 0
         for cell in report["results"]:
+            # Default-seed cells hold exactly RunResult.as_record():
+            # no seed key, so cell identity for --compare stays
+            # (benchmark, mode).
+            assert set(cell) == RECORD_KEYS
             assert cell["cycles"] > 0
             assert cell["cache_hit"] is False    # cache disabled
-            # Schema 5: backend provenance per cell, outside "stats"
-            # (digests stay engine-agnostic); default-seed cells must
-            # not grow a seed key — cell identity for --compare
-            # against older references depends on it.
+            # Backend provenance rides outside "stats" (digests stay
+            # engine-agnostic).
             assert cell["backend"] == "scalar"
             assert cell["lanes"] == 1
             assert cell["peeled_lanes"] == 0
-            assert "seed" not in cell
             assert "backend" not in cell["stats"]
             # Per-cell dispatch count rides outside "stats", which
             # stays digest-identical across kernels.
@@ -224,7 +240,6 @@ class TestBenchCommand:
         import io
         out = io.StringIO()
         code = main(["--quick", "-o", str(out_path),
-                     "--no-compile-cache",
                      "--compare", str(reference)], out=out)
         assert code == 0
         assert "passed" in out.getvalue()
@@ -242,7 +257,6 @@ class TestBenchCommand:
     def test_no_fusion_flag_recorded(self, tmp_path):
         code, __, report = self._run(tmp_path, "--no-fusion")
         assert code == 0
-        assert report["engine"] == "event"
         assert report["fusion"] is False
         assert all(cell["fused_dispatches"] == 0
                    for cell in report["results"])
@@ -258,27 +272,24 @@ class TestBenchCommand:
         cells = [l for l in lines if l.get("kind") == "cell"]
         assert len(cells) == len(report["results"])
         assert all(cell["status"] == "ok" for cell in cells)
-        # A second run resuming from the journal replays every cell —
-        # same cycles, near-zero wall (nothing is re-simulated).
+        # Each journal line is the report's record plus its ledger
+        # keys.
+        assert [{k: v for k, v in cell.items()
+                 if k not in ("kind", "key", "status")}
+                for cell in cells] == report["results"]
+        # A second run resuming from the journal replays every cell
+        # (nothing is re-simulated), so its report matches record for
+        # record, wall clocks and aggregate included.
         import io
         out = io.StringIO()
         path2 = tmp_path / "bench2.json"
-        code = main(["--quick", "-o", str(path2), "--no-compile-cache",
+        code = main(["--quick", "-o", str(path2),
                      "--resume", str(journal)], out=out)
         assert code == 0
         report2 = json.load(open(path2))
-        assert [(r["benchmark"], r["mode"], r["cycles"])
-                for r in report2["results"]] == \
-            [(r["benchmark"], r["mode"], r["cycles"])
-             for r in report["results"]]
-        # Replayed cells keep their journaled dispatch counts and
-        # sanitizer/fusion counters.
-        assert [r["fused_dispatches"] for r in report2["results"]] == \
-            [r["fused_dispatches"] for r in report["results"]]
-        assert [r["defuse_reasons"] for r in report2["results"]] == \
-            [r["defuse_reasons"] for r in report["results"]]
-        assert [r["quarantined_blocks"] for r in report2["results"]] == \
-            [r["quarantined_blocks"] for r in report["results"]]
+        assert report2["results"] == report["results"]
+        assert report2["aggregate_cycles_per_sec"] == \
+            report["aggregate_cycles_per_sec"]
         # Journal unchanged: replayed cells are not re-recorded.
         assert len(journal.read_text().splitlines()) == len(lines)
 
@@ -287,7 +298,7 @@ class TestBenchCommand:
         code, text, report = self._run(tmp_path, "--backend", "batch",
                                        "--lanes", "2")
         assert code == 0
-        assert report["schema"] == 5
+        assert report["schema"] == 6
         assert report["backend"] == "batch"
         assert report["lanes"] == 2
         cells = report["results"]
@@ -296,6 +307,7 @@ class TestBenchCommand:
         assert len(cells) == 2 * len({(c["benchmark"], c["mode"])
                                       for c in cells})
         for cell in cells:
+            assert set(cell) == RECORD_KEYS | {"seed"}
             assert cell["seed"] in (1, 2)
             assert cell["backend"] in ("batch", "batch-peeled",
                                        "scalar")
@@ -316,7 +328,7 @@ class TestBenchCommand:
         import io
         out = io.StringIO()
         path2 = tmp_path / "bench2.json"
-        code = main(["--quick", "-o", str(path2), "--no-compile-cache",
+        code = main(["--quick", "-o", str(path2),
                      "--backend", "batch", "--lanes", "2",
                      "--compare", str(tmp_path / "bench.json")],
                     out=out)
@@ -340,15 +352,11 @@ class TestBenchCommand:
         import io
         out = io.StringIO()
         path2 = tmp_path / "bench2.json"
-        code = main(["--quick", "-o", str(path2), "--no-compile-cache",
+        code = main(["--quick", "-o", str(path2),
                      "--backend", "batch", "--lanes", "2",
                      "--resume", str(journal)], out=out)
         assert code == 0
         report2 = json.load(open(path2))
-        key = lambda r: (r["benchmark"], r["mode"], r["seed"])
-        assert [(key(r), r["cycles"], r["lanes"], r["peeled_lanes"])
-                for r in report2["results"]] == \
-            [(key(r), r["cycles"], r["lanes"], r["peeled_lanes"])
-             for r in report["results"]]
+        assert report2["results"] == report["results"]
         # Nothing re-simulated, nothing re-recorded.
         assert journal.read_text().splitlines() == lines

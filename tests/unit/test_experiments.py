@@ -7,12 +7,14 @@ import weakref
 
 import pytest
 
+from repro.errors import CellFailure, VerificationError
 from repro.experiments import paper, runner, table2
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.report import (format_bar_chart, format_grid,
                                       format_table)
 from repro.experiments.runner import Harness, RunSpec
 from repro.machine import baseline
+from repro.programs.suite import Benchmark
 from repro.sim import batch
 from repro.sim.faults import FaultEvent, FaultPlan
 
@@ -21,6 +23,11 @@ needs_numpy = pytest.mark.skipif(not batch.batch_supported(),
 
 #: Classes of the finished machine a result must not drag along.
 _MACHINE_STATE = (b"ThreadContext", b"MemorySystem", b"RegisterFrame")
+
+
+def _wrong_outputs(benchmark, result, inputs):
+    """A ``Benchmark.check`` that reports a problem on every run."""
+    return ["out[0] wrong"]
 
 
 class TestReportFormatting:
@@ -76,9 +83,11 @@ class TestHarnessCaching:
         harness = Harness(seed=3)
         assert harness.inputs_for("fft") is harness.inputs_for("fft")
 
-    def test_validation_runs_by_default(self):
-        result = Harness().run("model", "seq", baseline())
-        assert result.verified
+    def test_validation_runs_by_default(self, monkeypatch):
+        monkeypatch.setattr(Benchmark, "check", _wrong_outputs)
+        with pytest.raises(VerificationError) as excinfo:
+            Harness().run("model", "seq")
+        assert excinfo.value.problems == ["out[0] wrong"]
 
     def test_fault_plan_participates_in_run_key(self):
         # Regression: the run cache used to key on (benchmark, mode,
@@ -162,6 +171,36 @@ class TestHarnessCaching:
         assert {r.backend for r in model} == {"batch", "batch-peeled"}
         assert {r.backend for r in matrix} == {"batch"}
         self._assert_no_machine(refs, model + matrix)
+
+
+class TestReferenceCheck:
+    """Lane results and collected sweeps pass ``Benchmark.check`` too
+    (``Harness.run``'s case is ``test_validation_runs_by_default``)."""
+
+    LANES = [RunSpec("matrix", "coupled", seed=seed) for seed in (1, 2)]
+
+    @pytest.fixture(autouse=True)
+    def wrong_outputs(self, monkeypatch):
+        monkeypatch.setattr(Benchmark, "check", _wrong_outputs)
+
+    @needs_numpy
+    def test_lockstep_lane_raises(self, monkeypatch):
+        # matrix/coupled lanes never peel; a scalar re-run would fail
+        # the test with this AssertionError instead.
+        def no_scalar_run(*args, **kwargs):
+            raise AssertionError("a lane left lockstep")
+
+        monkeypatch.setattr(Harness, "run", no_scalar_run)
+        with pytest.raises(VerificationError):
+            Harness().run_many(self.LANES, backend="batch")
+
+    @pytest.mark.parametrize("backend",
+                             [None, pytest.param("batch", marks=needs_numpy)])
+    def test_collected_as_cell_failures(self, backend):
+        got = Harness().run_many(self.LANES, backend=backend,
+                                 on_error="collect")
+        assert [(type(cell), cell.error_type) for cell in got] == \
+            [(CellFailure, "VerificationError")] * len(self.LANES)
 
 
 class TestRunMany:

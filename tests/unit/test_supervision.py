@@ -1,7 +1,8 @@
 """The supervised-sweep layer (repro.experiments.supervision):
-failure policy, the journaled ledger, replayed results, and the
-serial collect path.  Pool-level crash isolation is covered by
-tests/integration/test_supervised_sweep.py and the property suite.
+failure policy, the journaled ledger, the result record and its
+replay, and the serial collect path.  Pool-level crash isolation is
+covered by tests/integration/test_supervised_sweep.py and the
+property suite.
 """
 
 import json
@@ -11,44 +12,36 @@ import pytest
 from repro.errors import (CellFailure, CellTimeoutError, ConfigError,
                           SweepJournalError, VerificationError,
                           WatchdogError)
-from repro.experiments.runner import Harness, RunSpec
-from repro.experiments.supervision import (ReplayedStats,
-                                           SupervisorPolicy,
-                                           SweepJournal,
-                                           run_key_digest)
+from repro.experiments import supervision
+from repro.experiments.runner import Harness, RunResult, RunSpec
+from repro.experiments.supervision import (ReplayedStats, SweepJournal,
+                                           backoff, run_key_digest)
+from repro.sim.batch import batch_supported
+from tests.conftest import RECORD_KEYS
+
+needs_numpy = pytest.mark.skipif(not batch_supported(),
+                                 reason="the batch backend requires numpy")
 
 
 class TestPolicy:
-    def test_defaults(self):
-        policy = SupervisorPolicy()
-        assert policy.on_error == "raise"
-        assert policy.cell_timeout is None
-        assert policy.max_retries == 2
-
     def test_invalid_on_error_rejected(self):
         with pytest.raises(ConfigError):
-            SupervisorPolicy(on_error="ignore")
+            Harness().run_many([], on_error="ignore")
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ConfigError):
-            SupervisorPolicy(cell_timeout=0)
+            Harness().run_many([], cell_timeout=0)
         with pytest.raises(ConfigError):
-            SupervisorPolicy(cell_timeout=-1.0)
+            Harness().run_many([], cell_timeout=-1.0)
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError):
-            SupervisorPolicy(max_retries=-1)
-
-    def test_backoff_doubles_and_caps(self):
-        policy = SupervisorPolicy(backoff_base=0.1, backoff_cap=0.5)
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.4)
-        assert policy.backoff(4) == pytest.approx(0.5)   # capped
-        assert policy.backoff(10) == pytest.approx(0.5)
-
-    def test_zero_base_disables_backoff(self):
-        assert SupervisorPolicy(backoff_base=0.0).backoff(3) == 0.0
+    def test_backoff_doubles_and_caps(self, monkeypatch):
+        monkeypatch.setattr(supervision, "BACKOFF_BASE", 0.1)
+        monkeypatch.setattr(supervision, "BACKOFF_CAP", 0.5)
+        assert backoff(1) == pytest.approx(0.1)
+        assert backoff(2) == pytest.approx(0.2)
+        assert backoff(3) == pytest.approx(0.4)
+        assert backoff(4) == pytest.approx(0.5)   # capped
+        assert backoff(10) == pytest.approx(0.5)
 
 
 class TestCellFailure:
@@ -106,7 +99,7 @@ class TestRunKeyDigest:
 
 
 class TestSweepJournal:
-    HEADER = {"seed": 1, "check": True, "max_cycles": 100}
+    HEADER = {"seed": 1, "max_cycles": 100}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -138,18 +131,18 @@ class TestSweepJournal:
         SweepJournal(path, older).record_ok("k", {"cycles": 1})
         assert SweepJournal(path, self.HEADER).completed("k") is not None
 
-    def test_stale_report_schema_rejected_with_clear_message(
-            self, tmp_path):
-        # A journal written before a report schema bump must be refused
-        # with a message naming the schemas, not a generic header diff.
+    def test_older_version_rejected_with_clear_message(self, tmp_path,
+                                                       monkeypatch):
+        # A journal written under an older line format must be refused
+        # with a message naming both versions, not replayed.
         path = tmp_path / "sweep.jsonl"
-        old = dict(self.HEADER, report_schema=3)
-        SweepJournal(path, old).record_ok("k", {"cycles": 1})
-        new = dict(self.HEADER, report_schema=4)
+        monkeypatch.setattr(supervision, "JOURNAL_VERSION", 1)
+        SweepJournal(path, self.HEADER).record_ok("k", {"cycles": 1})
+        monkeypatch.undo()
         with pytest.raises(SweepJournalError) as excinfo:
-            SweepJournal(path, new)
+            SweepJournal(path, self.HEADER)
         message = str(excinfo.value)
-        assert "schema 3" in message and "schema 4" in message
+        assert "version 1" in message and "version 2" in message
         assert "fresh journal" in message
 
     def test_torn_final_line_skipped(self, tmp_path):
@@ -193,6 +186,34 @@ class TestReplayedStats:
                                    "fpu_util": 0.5}
         assert stats.total_operations == 7
         assert stats.cycles == 42
+
+
+class TestRecord:
+    """``RunResult.as_record`` is a cell's one serialized form and
+    ``RunResult.from_record`` its inverse."""
+
+    @staticmethod
+    def _round_trip(result):
+        record = result.as_record()
+        assert set(record) == RECORD_KEYS
+        assert json.loads(json.dumps(record)) == record
+        replayed = RunResult.from_record(record, result.config)
+        assert replayed.replayed and replayed.compiled is None
+        assert replayed.as_record() == record
+
+    def test_scalar_cell(self):
+        self._round_trip(Harness(compile_cache=False).run("lud", "seq"))
+
+    @needs_numpy
+    def test_lockstep_and_peeled_lanes(self):
+        # model loads through input-drawn indices, so some of its
+        # lanes peel and re-run on the scalar kernel.
+        results = Harness(compile_cache=False).run_many(
+            [RunSpec("model", "coupled", seed=seed) for seed in (1, 2, 3, 4)],
+            backend="batch")
+        assert {r.backend for r in results} == {"batch", "batch-peeled"}
+        for result in results:
+            self._round_trip(result)
 
 
 class TestSerialCollect:
@@ -244,6 +265,8 @@ class TestSerialCollect:
         statuses = sorted(l["status"] for l in lines
                           if l.get("kind") == "cell")
         assert statuses == ["failed", "ok"]
+        ok_line, = [l for l in lines if l.get("status") == "ok"]
+        assert set(ok_line) == RECORD_KEYS | {"kind", "key", "status"}
         # Resume with a healthy harness: the ok cell replays, the
         # failed cell re-runs and now succeeds.
         healthy = Harness(compile_cache=False)
