@@ -6,7 +6,6 @@ correct and that the feature actually pays for itself on the benchmark
 it was introduced for.
 """
 
-import pytest
 from conftest import one_shot
 
 from repro import compile_program, run_program

@@ -271,8 +271,9 @@ class Program:
     """A complete executable: thread programs plus initial memory.
 
     Do not mutate a program after its first run: the simulator keeps
-    its decoded words and compiled superblocks for later runs of the
-    same object (:func:`repro.sim.predecode.decode_program`).
+    the decoded words and compiled superblocks of the last program it
+    decoded, and reuses them when that same object runs again
+    (:func:`repro.sim.predecode.decode_program`).
     """
 
     def __init__(self, main="main"):

@@ -12,11 +12,12 @@ node's unit table.  The per-cycle path then touches only plain
 attributes, ints, and tuples.
 
 Plans are immutable after decoding and are shared freely between a
-node, its snapshots, restored copies, and every later run of the same
-program on the same unit layout (see :func:`decode_program`).  They
-deliberately reference the original ``Operation`` objects
-(``plan.op``) so observers, memory requests, and diagnostics show the
-exact objects the scan kernel would.
+node, its snapshots, restored copies, and the next runs of the same
+program on the same unit layout, until another program is decoded
+(see :func:`decode_program`).  They deliberately reference the
+original ``Operation`` objects (``plan.op``) so observers, memory
+requests, and diagnostics show the exact objects the scan kernel
+would.
 """
 
 import math
@@ -27,16 +28,13 @@ from ..errors import SimulationError
 from ..isa.operations import UnitClass
 from .memory import MemRequest
 
-#: Intern table for the small tuples predecoding mints over and over —
-#: operand field triples, destination pairs, wait-group entries.  A big
-#: program reuses the same few hundred shapes thousands of times;
-#: interning keeps one object per shape (less memory, better cache
-#: locality in the issue loop).
-_INTERN = {}
-
-
-def _intern(value):
-    return _INTERN.setdefault(value, value)
+def _intern(table, value):
+    """One object per shape for the small tuples predecoding mints over
+    and over — operand field triples, destination pairs, wait-group
+    entries.  A big program reuses the same few hundred shapes
+    thousands of times; ``table`` is that program's (see
+    :func:`decode_program`)."""
+    return table.setdefault(value, value)
 
 
 class SlotPlan:
@@ -49,7 +47,7 @@ class SlotPlan:
                  "control", "taken_payload", "untaken_payload",
                  "fork_name", "bindings_plan")
 
-    def __init__(self, uid, unit_index, op, thread_program):
+    def __init__(self, uid, unit_index, op, thread_program, interned):
         spec = op.spec
         self.uid = uid
         self.unit_index = unit_index
@@ -66,7 +64,7 @@ class SlotPlan:
         groups = {}
         for reg in list(op.source_regs()) + list(op.dests):
             groups[reg.cluster] = groups.get(reg.cluster, 0) | (1 << reg.index)
-        self.wait_groups = _intern(tuple(sorted(groups.items())))
+        self.wait_groups = _intern(interned, tuple(sorted(groups.items())))
         # The overwhelmingly common single-cluster case, unpacked so the
         # issue loop's readiness test needs no iteration at all.
         self.single_wait = self.wait_groups[0] \
@@ -80,18 +78,19 @@ class SlotPlan:
             for pos, src in enumerate(op.srcs):
                 if hasattr(src, "cluster"):
                     template.append(None)
-                    fields.append(_intern((pos, src.cluster, src.index)))
+                    fields.append(_intern(interned,
+                                          (pos, src.cluster, src.index)))
                 else:
                     template.append(src.value)
             self.values_template = template
-            self.src_fields = _intern(tuple(fields))
+            self.src_fields = _intern(interned, tuple(fields))
         else:
             self.values_template = None
             self.src_fields = ()
-        self.dest_pairs = _intern(tuple(
-            _intern((d.cluster, d.index)) for d in op.dests))
-        self.dest_triples = _intern(tuple(
-            _intern((d.cluster, d.index, 1 << d.index))
+        self.dest_pairs = _intern(interned, tuple(
+            _intern(interned, (d.cluster, d.index)) for d in op.dests))
+        self.dest_triples = _intern(interned, tuple(
+            _intern(interned, (d.cluster, d.index, 1 << d.index))
             for d in op.dests))
         # Control: resolve branch targets and fork wiring now, so issue
         # builds payloads from plain tuples.
@@ -274,16 +273,23 @@ class DecodedThread:
         self.blocks = blocks
 
 
-#: Load-time work shared between runs, per program.  The key is the
-#: ``Program`` itself, held weakly, so an entry lives exactly as long as
-#: its program.  The value maps (layout, thread name) to the thread's
-#: ``WordPlan`` tuple, and (layout, run signature, thread name) to its
-#: compiled superblock code: entry ip -> template :class:`BlockPlan`,
-#: or None for an entry with no run worth fusing.  ``layout`` is the
-#: unit-index mapping as a tuple.  No value references the program
-#: (plans hold its ``Operation`` objects, never the program), or the
-#: weak entry would never die.
-_SHARED = weakref.WeakKeyDictionary()
+#: The reuse slot: load-time work of the last program decoded, as
+#: ``(weak reference to the Program, shared, interned)``.  ``shared``
+#: maps (layout, thread name) to the thread's ``WordPlan`` tuple, and
+#: (layout, run signature, thread name) to its compiled superblock
+#: code: entry ip -> template :class:`BlockPlan`, or None for an entry
+#: with no run worth fusing.  ``layout`` is the unit-index mapping as a
+#: tuple; ``interned`` is the program's :func:`_intern` table.  No value
+#: references the program (plans hold its ``Operation`` objects, never
+#: the program), so the slot neither keeps its program alive nor
+#: outlives it.
+_slot = None
+
+
+def _forget(ref):
+    global _slot
+    if _slot is not None and _slot[0] is ref:
+        _slot = None
 
 
 def decode_program(program, unit_index, config=None):
@@ -301,14 +307,21 @@ def decode_program(program, unit_index, config=None):
 
     Word plans and compiled superblock code depend only on the
     program, the unit layout and (for code) ``config.run_signature()``,
-    so they are decoded once and shared by every later call with the
-    same program: peeled batch lanes, shadow nodes, repeated harness
-    runs.  Each call still returns fresh ``DecodedThread`` and
-    ``BlockTable`` objects, so warm-up heat, quarantine tombstones and
-    the block handles the kernel dispatches stay per run.  A program
-    must therefore not be mutated after its first run.
+    so the last program decoded keeps them in a one-program slot, and
+    the next call with the same program object reuses them: a lane
+    bundle's peeled re-runs, a sanitizer's shadow node, repeated runs
+    of one program.  A call with any other program replaces the slot,
+    so a sweep holds one program's plans, not every program's.  Each
+    call still returns fresh ``DecodedThread`` and ``BlockTable``
+    objects, so warm-up heat, quarantine tombstones and the block
+    handles the kernel dispatches stay per run.  A program must
+    therefore not be mutated after its first run.
     """
-    shared = _SHARED.setdefault(program, {})
+    global _slot
+    slot = _slot
+    if slot is None or slot[0]() is not program:
+        slot = _slot = (weakref.ref(program, _forget), {}, {})
+    __, shared, interned = slot
     layout = tuple(unit_index.items())
     fuse = config is not None and getattr(config, "fusion", True)
     signature = config.run_signature() if fuse else None
@@ -317,7 +330,7 @@ def decode_program(program, unit_index, config=None):
         words = shared.get((layout, name))
         if words is None:
             words = shared[layout, name] = _decode_words(
-                name, thread_program, unit_index)
+                name, thread_program, unit_index, interned)
         thread = DecodedThread(name, words)
         if fuse:
             thread.blocks = BlockTable(
@@ -327,10 +340,11 @@ def decode_program(program, unit_index, config=None):
     return decoded
 
 
-def _decode_words(name, thread_program, unit_index):
+def _decode_words(name, thread_program, unit_index, interned):
     words = []
     for index, word in enumerate(thread_program.instructions):
-        plans = [SlotPlan(uid, unit_index[uid], op, thread_program)
+        plans = [SlotPlan(uid, unit_index[uid], op, thread_program,
+                          interned)
                  for uid, op in word.slots.items()]
         if not plans:
             raise SimulationError("thread %r word %d is empty"
@@ -352,8 +366,8 @@ def _decode_words(name, thread_program, unit_index):
 # cycle-by-cycle execution of the run in a single call: operand flow
 # through flat SSA locals, per-run cycle cost precomputed, statistics
 # and memory effects committed in bulk.  The compiled code is shared by
-# every later run of the program on the same machine (see
-# :class:`BlockTable`).
+# the next runs of the program on the same machine, until another
+# program is decoded (see :class:`BlockTable`).
 #
 # The closure is only entered when the kernel's guards hold (single
 # runnable thread, fully connected interconnect, no fault plan, every
@@ -510,9 +524,9 @@ class BlockTable:
 
     Compiled code lives in ``code``, a dict of entry ip -> template
     :class:`BlockPlan` (or None: no run worth fusing) that
-    :func:`decode_program` shares between every run of the program
-    with the same unit layout and run signature; compilation is
-    deterministic, so a later run's warmed-up entry is a lookup.  The
+    :func:`decode_program` shares between back-to-back runs of the
+    program with the same unit layout and run signature; compilation
+    is deterministic, so a later run's warmed-up entry is a lookup.  The
     templates never leave that dict: :meth:`get` returns a per-table
     :meth:`BlockPlan.handle`.  Heat, handles and quarantine tombstones
     are this table's own, and the table itself is shared between a

@@ -46,27 +46,54 @@ def compile_and_run(source, config, mode="sts", overrides=None, **kwargs):
                        **kwargs)
 
 
-def run_three_kernels(program, config, overrides=None):
+def _lane_inputs(program, overrides):
+    """Input dicts for a two-lane bundle of ``program``: lane 0 holds
+    exactly the image ``overrides`` loads, and lane 1 the same with
+    every initially full word moved by one (ints) or a half (floats),
+    so the two lanes' values really differ."""
+    lane0, lane1 = {}, {}
+    for name, symbol in program.data.symbols.items():
+        values = ((overrides or {}).get(name) or symbol.init_values
+                  or [0] * symbol.size)
+        lane0[name] = values
+        lane1[name] = [value + (0.5 if isinstance(value, float) else 1)
+                       for value in values] \
+            if symbol.initially_full else values
+    return lane0, lane1
+
+
+def run_every_tier(program, config, overrides=None):
     """Run ``program`` on the scan, unfused event and fused event
-    kernels and assert they agree in cycles, ``Stats.summary()``,
+    kernels, and (where numpy is installed) as lane 0 of a two-lane
+    batch bundle, and assert they agree in cycles, ``Stats.summary()``,
     memory values and presence bits; returns the fused run.
 
     Fusion warmup is forced to one dispatch, so even a short generated
-    program reaches superblock code instead of staying interpreted."""
+    program reaches superblock code instead of staying interpreted.  A
+    lane 0 that peels is re-run on the scalar kernel, as the harness
+    does, so the batch comparison always has a result to check."""
     from repro.sim import predecode, run_program
+    from repro.sim.batch import batch_supported, run_batch
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(predecode, "_WARMUP_DISPATCHES", 1)
-        scan, event, fused = [
-            run_program(program, config.with_engine(engine)
-                        .with_fusion(fusion), overrides=overrides)
-            for engine, fusion in (("scan", False), ("event", False),
-                                   ("event", True))]
-    for label, other in (("event", event), ("fused", fused)):
+        runs = {label: run_program(program, config.with_engine(engine)
+                                   .with_fusion(fusion), overrides=overrides)
+                for label, engine, fusion in (("scan", "scan", False),
+                                              ("event", "event", False),
+                                              ("fused", "event", True))}
+    if batch_supported():
+        lanes = _lane_inputs(program, overrides)
+        unfused = config.with_engine("event").with_fusion(False)
+        lane = run_batch(program, unfused, lanes).results[0]
+        runs["batch"] = lane if lane is not None else \
+            run_program(program, unfused, overrides=lanes[0])
+    scan = runs["scan"]
+    for label, other in runs.items():
         assert other.cycles == scan.cycles, label
         assert other.stats.summary() == scan.stats.summary(), label
         assert other.memory._values == scan.memory._values, label
         assert other.memory._empty == scan.memory._empty, label
-    return fused
+    return runs["fused"]
 
 
 def assert_matches_interp(source, config, modes=("sts",), overrides=None):

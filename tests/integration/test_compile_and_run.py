@@ -3,7 +3,7 @@ reference interpreter's memory state exactly."""
 
 import pytest
 
-from repro.machine import baseline, single_cluster, unit_mix
+from repro.machine import unit_mix
 from tests.conftest import assert_matches_interp
 
 ALL_SINGLE_MODES = ("seq", "sts", "ideal")

@@ -1,8 +1,11 @@
 """Decoded words and compiled superblocks are shared between runs of
 one program (``repro.sim.predecode.decode_program``).  The sharing
 must be invisible: a program object run again behaves exactly like a
-freshly compiled copy, engine counters included, per-run block handles
-stay per run, and the shared entries die with the program."""
+freshly compiled copy, engine counters included, and per-run block
+handles stay per run.  It is also short-lived: only the last program
+decoded keeps its plans, so decoding another program frees them, and a
+lane bundle's peeled re-runs and a sanitizer's shadow node decode each
+thread once."""
 
 import gc
 import weakref
@@ -41,14 +44,31 @@ def test_rerunning_one_program_matches_fresh_copies(name, mode):
     assert reruns[0][2] > 0, "nothing fused: the test shares nothing"
 
 
-def test_peeled_batch_lanes_match_fresh_scalar_runs():
+def _count_decodes(monkeypatch):
+    """The thread names ``predecode._decode_words`` is called with from
+    now on."""
+    calls = []
+    decode = predecode._decode_words
+
+    def counted(name, *args):
+        calls.append(name)
+        return decode(name, *args)
+
+    monkeypatch.setattr(predecode, "_decode_words", counted)
+    return calls
+
+
+def test_peeled_batch_lanes_match_fresh_scalar_runs(monkeypatch):
     pytest.importorskip("numpy")
     seeds = (1, 2, 3, 4)
+    calls = _count_decodes(monkeypatch)
     got = Harness(compile_cache=None).run_many(
         [RunSpec("model", "seq", seed=seed) for seed in seeds],
         backend="batch")
     peeled = [result for result in got if result.backend == "batch-peeled"]
     assert len(peeled) >= 2, "fewer than two peeled lanes share a decode"
+    # The lockstep node and every peeled re-run share one decode.
+    assert sorted(calls) == sorted(got[0].compiled.program.threads)
     for seed, result in zip(seeds, got):
         want = Harness(compile_cache=None).run("model", "seq", seed=seed)
         if result.backend == "batch-peeled":
@@ -89,18 +109,46 @@ def test_block_handles_stay_per_run():
         assert block.fn is originals[ip]     # shared code, fresh handle
 
 
-def test_shared_entries_die_with_their_program():
+def _live_plans(program=None):
+    """How many ``SlotPlan``s are alive: all of them, or those decoded
+    from ``program``'s operations."""
+    gc.collect()
+    plans = [obj for obj in gc.get_objects()
+             if type(obj) is predecode.SlotPlan]
+    if program is None:
+        return len(plans)
+    ops = {id(op) for thread in program.threads.values()
+           for word in thread.instructions for __, op in word}
+    return sum(id(plan.op) in ops for plan in plans)
+
+
+def test_decoding_another_program_frees_the_plans():
     config = baseline()
-    program = _compile("lud", "seq", config)
-    result = run_program(program, config,
+    first = _compile("lud", "seq", config)
+    second = _compile("matrix", "seq", config)
+    result = run_program(first, config,
                          overrides=get_benchmark("lud").make_inputs(1))
     assert result.stats.fused_dispatches > 0
-    shared = predecode._SHARED.get(program)
-    assert any(len(key) == 3 and code for key, code in shared.items()), \
-        "no compiled code was shared"
-    ref = weakref.ref(program)
-    count = len(predecode._SHARED)
-    del program, result, shared
+    del result
+    assert _live_plans(first), "no plan outlived the run: nothing to free"
+    run_program(second, config,
+                overrides=get_benchmark("matrix").make_inputs(1))
+    assert _live_plans(first) == 0
+    kept = _live_plans(second)
+    assert kept
+    live = _live_plans()
+    refs = [weakref.ref(first), weakref.ref(second)]
+    del first, second
     gc.collect()
-    assert ref() is None
-    assert len(predecode._SHARED) <= count - 1
+    assert [ref() for ref in refs] == [None, None]
+    assert _live_plans() == live - kept
+
+
+def test_shadow_node_decodes_each_thread_once(monkeypatch):
+    config = baseline()
+    program = _compile("matrix", "coupled", config)
+    calls = _count_decodes(monkeypatch)
+    result = run_program(program, config, sanitize="deep",
+                         overrides=get_benchmark("matrix").make_inputs(1))
+    assert result.sanitizer.shadow_checks > 0
+    assert sorted(calls) == sorted(program.threads)

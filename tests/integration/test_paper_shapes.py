@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments import figure6, figure7, table2, table3
 from repro.experiments.runner import Harness
-from repro.isa.operations import UnitClass
 from repro.machine import baseline
 
 

@@ -2,15 +2,16 @@
 memory image under (compile -> simulate) as under the reference
 interpreter, in every machine mode, bit for bit (identical operation
 order and shared ISA semantics make exact float equality achievable).
-The scan, event and fused kernels must also agree on every random
-program, in fused code as well as interpreted."""
+The scan, event and fused kernels, and lane 0 of a batch bundle where
+numpy is installed, must also agree on every random program, in fused
+code as well as interpreted."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import compile_program, interpret, run_program
 from repro.machine import baseline, single_cluster, unit_mix
-from tests.conftest import run_three_kernels
+from tests.conftest import run_every_tier
 
 INT_VARS = ("i0", "i1", "i2")
 FLOAT_VARS = ("f0", "f1")
@@ -149,7 +150,7 @@ class TestCompiledMatchesInterpreter:
         config = CONFIGS[config_name]
         expected = interpret(source)
         compiled = compile_program(source, config, mode=mode)
-        result = run_three_kernels(compiled.program, config)
+        result = run_every_tier(compiled.program, config)
         assert result.stats.fused_dispatches > 0, source
         for symbol in ("IARR", "FARR"):
             assert result.read_symbol(symbol) == \

@@ -7,7 +7,7 @@ from repro.compiler.sexpr import Symbol, read_one, to_text
 from repro.isa import asmtext
 from repro.isa.instruction import Operation
 from repro.isa.operands import Imm, Label, Reg
-from repro.isa.operations import UnitClass, all_opcodes
+from repro.isa.operations import all_opcodes
 
 symbols = st.text(alphabet="abcdefghijklmnopqrstuvwxyz!?*+-<>=",
                   min_size=1, max_size=8).filter(

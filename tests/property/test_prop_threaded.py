@@ -1,8 +1,8 @@
 """Differential property testing of *threaded* programs: random
 parallel-map workloads (disjoint strided writes + flag joins) must
 match the reference interpreter in TPE and Coupled modes, under random
-memory latencies, and the scan, event and fused kernels must agree on
-them."""
+memory latencies, and the scan, event and fused kernels and a batch
+lane must agree on them."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from repro import compile_program, interpret, run_program
 from repro.machine import baseline
 from repro.machine.memory import MemorySpec
-from tests.conftest import run_three_kernels
+from tests.conftest import run_every_tier
 
 ARRAY = 12
 
@@ -85,7 +85,7 @@ class TestThreadedDifferential:
         config = baseline()
         expected = interpret(source, overrides=INPUT)
         compiled = compile_program(source, config, mode=mode)
-        result = run_three_kernels(compiled.program, config,
+        result = run_every_tier(compiled.program, config,
                                    overrides=INPUT)
         assert result.stats.fused_dispatches > 0, source
         assert result.read_symbol("OUT") == expected.read_symbol("OUT"), \

@@ -4,7 +4,6 @@ import pytest
 
 from repro import baseline, compile_program, run_program
 from repro.errors import ConfigError, DeadlockError
-from repro.machine import MachineConfig
 from repro.programs import get_benchmark
 
 SOURCE = """

@@ -1,7 +1,6 @@
 """Code generation: register allocation/recycling, operation building."""
 
 from repro import compile_program
-from repro.isa.operations import UnitClass
 from repro.machine import baseline
 
 LOOPY = """

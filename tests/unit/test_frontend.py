@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.compiler.astnodes import (Aref, Aset, BinOp, FLOAT, Fork, If,
-                                     IfExpr, INT, Num, Seq, SetVar, Sync,
-                                     UnOp, Var, While)
+from repro.compiler.astnodes import (Aref, BinOp, FLOAT, Fork, If, IfExpr,
+                                     INT, Num, SetVar, Sync, UnOp, While)
 from repro.compiler.frontend import parse_expr, parse_program, parse_stmt
 from repro.compiler.sexpr import read_one
 from repro.errors import CompileError

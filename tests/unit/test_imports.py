@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` uses what it imports.
+"""Every module under ``src/repro``, ``tests``, ``benchmarks`` and
+``examples`` uses what it imports.
 
 A standard-library stand-in for a linter's unused-import rule: each
 name a module binds with a top-level ``import`` must appear as a name
@@ -12,6 +13,8 @@ import pathlib
 import repro
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+CHECKED = (SRC, ROOT / "tests", ROOT / "benchmarks", ROOT / "examples")
 
 
 def _unused_imports(path):
@@ -28,8 +31,9 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    unused = ["%s: %s" % (path.relative_to(SRC), name)
-              for path in sorted(SRC.rglob("*.py"))
+    unused = ["%s: %s" % (path.relative_to(root.parent), name)
+              for root in CHECKED
+              for path in sorted(root.rglob("*.py"))
               if path.name != "__init__.py"
               for name in _unused_imports(path)]
     assert unused == []

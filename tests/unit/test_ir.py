@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler.ir import BasicBlock, Const, IRInstr, ThreadIR, VReg
+from repro.compiler.ir import Const, IRInstr, ThreadIR, VReg
 from repro.errors import CompileError
 
 

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.compiler.astnodes import (BinOp, Fork, Let, Num, Seq, SetVar,
-                                     Var, While)
+from repro.compiler.astnodes import Fork, Let, Num, Seq, SetVar, While
 from repro.compiler.frontend import parse_program, parse_stmt
-from repro.compiler.macroexpand import (Expander, expand_kernel,
-                                        expand_thread, fold_binop,
+from repro.compiler.macroexpand import (expand_thread, fold_binop,
                                         fold_unop, resolve_consts)
 from repro.compiler.sexpr import read_one
 from repro.errors import CompileError

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.isa import asmtext
-from repro.machine import baseline, single_cluster
+from repro.machine import baseline
 from repro.machine.memory import MemorySpec
-from repro.sim import Node, run_program
+from repro.sim import run_program
 from repro.sim.trace import TraceRecorder
 
 

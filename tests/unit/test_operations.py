@@ -1,7 +1,5 @@
 """Opcode registry and semantics (including Table 1 conditions)."""
 
-import math
-
 import pytest
 
 from repro.errors import AsmError

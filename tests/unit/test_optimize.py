@@ -6,7 +6,6 @@ from repro.compiler.lowering import lower_thread
 from repro.compiler.optimize import optimize_thread
 from repro.compiler.optimize.dce import eliminate_dead_code
 from repro.compiler.optimize.globalprop import propagate_global_constants
-from repro.compiler.optimize.lvn import local_value_numbering
 from repro.compiler.sexpr import read_one
 from repro.compiler.ir import Const
 

@@ -1,7 +1,5 @@
 """Compiler option plumbing."""
 
-import pytest
-
 from repro import compile_program, run_program
 from repro.compiler.options import ABLATIONS, CompilerOptions, \
     DEFAULT_OPTIONS

@@ -106,7 +106,7 @@ class TestDecodeProgram:
 
 
 def _plan(op, thread_program=None):
-    return SlotPlan("iu0", 0, op, thread_program)
+    return SlotPlan("iu0", 0, op, thread_program, {})
 
 
 class TestSlotPlanEdgeCases:
