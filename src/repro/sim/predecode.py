@@ -314,8 +314,12 @@ def decode_program(program, unit_index, config=None):
     so a sweep holds one program's plans, not every program's.  Each
     call still returns fresh ``DecodedThread`` and ``BlockTable``
     objects, so warm-up heat, quarantine tombstones and the block
-    handles the kernel dispatches stay per run.  A program must
-    therefore not be mutated after its first run.
+    handles the kernel dispatches stay per run.  A re-run dispatches
+    code the slot already holds at first sight (see
+    :class:`BlockTable`), so no architectural result depends on an
+    earlier run, but a re-run's engine counters (fused dispatches,
+    defuse reasons) may.  A program must therefore not be mutated
+    after its first run.
     """
     global _slot
     slot = _slot
@@ -366,8 +370,9 @@ def _decode_words(name, thread_program, unit_index, interned):
 # cycle-by-cycle execution of the run in a single call: operand flow
 # through flat SSA locals, per-run cycle cost precomputed, statistics
 # and memory effects committed in bulk.  The compiled code is shared by
-# the next runs of the program on the same machine, until another
-# program is decoded (see :class:`BlockTable`).
+# the next runs of the program on the same machine, which dispatch it
+# from the entry's first visit, until another program is decoded (see
+# :class:`BlockTable`).
 #
 # The closure is only entered when the kernel's guards hold (single
 # runnable thread, fully connected interconnect, no fault plan, every
@@ -525,14 +530,16 @@ class BlockTable:
     Compiled code lives in ``code``, a dict of entry ip -> template
     :class:`BlockPlan` (or None: no run worth fusing) that
     :func:`decode_program` shares between back-to-back runs of the
-    program with the same unit layout and run signature; compilation
-    is deterministic, so a later run's warmed-up entry is a lookup.  The
-    templates never leave that dict: :meth:`get` returns a per-table
-    :meth:`BlockPlan.handle`.  Heat, handles and quarantine tombstones
-    are this table's own, and the table itself is shared between a
-    node, its snapshots, and restored copies.  Pickling drops both the
-    handles and the shared code and recompiles on demand (closures do
-    not cross process boundaries).
+    program with the same unit layout and run signature.  Warm-up gates
+    compilation, not dispatch: an entry already in ``code`` is looked
+    up at first sight, so a re-run dispatches its predecessor's blocks
+    from their first visit, while a first run warms up exactly as it
+    would alone.  The templates never leave that dict: :meth:`get`
+    returns a per-table :meth:`BlockPlan.handle`.  Heat, handles and
+    quarantine tombstones are this table's own, and the table itself
+    is shared between a node, its snapshots, and restored copies.
+    Pickling drops both the handles and the shared code and recompiles
+    on demand (closures do not cross process boundaries).
     """
 
     __slots__ = ("_decoded", "_config", "_entries", "_mem_ok", "_cache",
@@ -560,12 +567,12 @@ class BlockTable:
         if ip not in self._entries:
             self._cache[ip] = None
             return None
-        heat = self._heat.get(ip, 0) + 1
-        if heat < _WARMUP_DISPATCHES:
-            self._heat[ip] = heat
-            return None
         template = self._code.get(ip, False)
         if template is False:
+            heat = self._heat.get(ip, 0) + 1
+            if heat < _WARMUP_DISPATCHES:
+                self._heat[ip] = heat
+                return None
             template = None
             words = self._decoded.words
             if ip < len(words):

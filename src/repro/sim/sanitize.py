@@ -950,11 +950,14 @@ def _run_shadowed(program, config, overrides, max_cycles,
 
     # Load the program and run one cycle on both nodes before the first
     # snapshot, so every rollback (and every bundle) resumes a loaded
-    # machine.  A fresh node dispatches no superblock before warm-up,
-    # so this cycle cannot trip.
+    # machine.  The primary runs that cycle unfused, so it cannot trip:
+    # a re-run dispatches superblocks the reuse slot holds at first
+    # sight, and no snapshot precedes this cycle to roll back to.
+    primary._fusion = False
     rp, rs = (node.run(program, overrides=overrides, max_cycles=max_cycles,
                        watchdog_cycles=watchdog_cycles, pause_at=1)
               for node in (primary, shadow))
+    primary._fusion = True
     if tamper is not None:
         tamper(primary)
     if rp is not None and rs is not None:

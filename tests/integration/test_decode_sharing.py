@@ -1,11 +1,16 @@
 """Decoded words and compiled superblocks are shared between runs of
 one program (``repro.sim.predecode.decode_program``).  The sharing
-must be invisible: a program object run again behaves exactly like a
-freshly compiled copy, engine counters included, and per-run block
-handles stay per run.  It is also short-lived: only the last program
-decoded keeps its plans, so decoding another program frees them, and a
-lane bundle's peeled re-runs and a sanitizer's shadow node decode each
-thread once."""
+must not change any answer: a program object run again matches a
+freshly compiled copy in cycles, ``Stats.summary()``, memory values
+and presence bits, and per-run block handles stay per run.  It does
+change how a re-run gets there: warm-up gates compilation, not
+dispatch, so an entry whose code the slot already holds dispatches at
+first sight, and a re-run's engine counters may exceed a fresh copy's.
+A first run is unchanged, so fresh copies still agree with each other
+exactly, engine counters included.  The sharing is also short-lived:
+only the last program decoded keeps its plans, so decoding another
+program frees them, and a lane bundle's peeled re-runs and a
+sanitizer's shadow node decode each thread once."""
 
 import gc
 import weakref
@@ -24,10 +29,15 @@ def _compile(name, mode, config):
     return compile_program(bench.source(mode), config, mode=mode).program
 
 
-def _outcome(result):
+def _answer(result):
+    """What no run history may change."""
+    return (result.cycles, result.stats.summary(),
+            result.memory._values, result.memory._empty)
+
+
+def _engine(result):
     stats = result.stats
-    return (result.cycles, stats.summary(), stats.fused_dispatches,
-            dict(stats.defuse_reasons))
+    return stats.fused_dispatches, dict(stats.defuse_reasons)
 
 
 @pytest.mark.parametrize("name,mode", [("lud", "seq"), ("lud", "coupled")])
@@ -35,13 +45,60 @@ def test_rerunning_one_program_matches_fresh_copies(name, mode):
     config = baseline()
     inputs = get_benchmark(name).make_inputs(1)
     program = _compile(name, mode, config)
-    reruns = [_outcome(run_program(program, config, overrides=inputs))
+    reruns = [run_program(program, config, overrides=inputs)
               for __ in range(3)]
-    fresh = [_outcome(run_program(_compile(name, mode, config), config,
-                                  overrides=inputs))
+    fresh = [run_program(_compile(name, mode, config), config,
+                         overrides=inputs)
              for __ in range(3)]
-    assert reruns == fresh
-    assert reruns[0][2] > 0, "nothing fused: the test shares nothing"
+    # First runs are pinned: fresh copies agree in everything.
+    for run in fresh[1:]:
+        assert (_answer(run), _engine(run)) \
+            == (_answer(fresh[0]), _engine(fresh[0]))
+    assert [_answer(run) for run in reruns] \
+        == [_answer(run) for run in fresh]
+    assert _engine(reruns[0]) == _engine(fresh[0])
+    assert fresh[0].stats.fused_dispatches > 0, \
+        "nothing fused: the test shares nothing"
+
+
+def test_rerun_dispatches_compiled_entries_at_first_sight():
+    """A fresh run interprets the first ``_WARMUP_DISPATCHES - 1``
+    sightings of every entry it then compiles; a re-run finds the code
+    in the slot and fuses them.  An entry inside another compiled run
+    gains nothing: its warm-up sightings were the interpreted passes
+    through that run, which the re-run fuses over."""
+    config = baseline()
+    inputs = get_benchmark("lud").make_inputs(1)
+    program = _compile("lud", "seq", config)
+    node = make_node(config)
+    fresh = node.run(program, overrides=inputs)
+    entries = 0
+    for thread in node._decoded.values():
+        blocks = thread.blocks.compiled_blocks()
+        entries += sum(not any(ip in other.word_ips[1:]
+                               for other in blocks.values())
+                       for ip in blocks)
+    assert entries, "lud/seq compiled no superblocks"
+    rerun = run_program(program, config, overrides=inputs)
+    assert _answer(rerun) == _answer(fresh)
+    assert rerun.stats.fused_dispatches - fresh.stats.fused_dispatches \
+        == entries * (predecode._WARMUP_DISPATCHES - 1)
+
+
+def test_scalar_run_many_reruns_dispatch_sooner():
+    seeds = (1, 2, 3, 4)
+    got = Harness(compile_cache=None).run_many(
+        [RunSpec("model", "seq", seed=seed) for seed in seeds])
+    assert len({id(result.compiled.program) for result in got}) == 1
+    for seed, result in zip(seeds, got):
+        want = Harness(compile_cache=None).run("model", "seq", seed=seed)
+        assert result.cycles == want.cycles
+        assert result.stats.summary() == want.stats.summary()
+        if seed == seeds[0]:
+            assert _engine(result) == _engine(want)
+        else:
+            assert result.stats.fused_dispatches \
+                > want.stats.fused_dispatches
 
 
 def _count_decodes(monkeypatch):
@@ -59,7 +116,7 @@ def _count_decodes(monkeypatch):
 
 
 def test_peeled_batch_lanes_match_fresh_scalar_runs(monkeypatch):
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     seeds = (1, 2, 3, 4)
     calls = _count_decodes(monkeypatch)
     got = Harness(compile_cache=None).run_many(
@@ -71,13 +128,35 @@ def test_peeled_batch_lanes_match_fresh_scalar_runs(monkeypatch):
     assert sorted(calls) == sorted(got[0].compiled.program.threads)
     for seed, result in zip(seeds, got):
         want = Harness(compile_cache=None).run("model", "seq", seed=seed)
-        if result.backend == "batch-peeled":
-            assert _outcome(result) == _outcome(want)
-        else:
-            # The lockstep tier never fuses, so only its engine
-            # counters may differ from a scalar run.
-            assert result.cycles == want.cycles
-            assert result.stats.summary() == want.stats.summary()
+        assert result.cycles == want.cycles
+        assert result.stats.summary() == want.stats.summary()
+        # The lockstep tier never fuses, so the first peeled lane is
+        # the program's first fused run and warms up like a fresh one;
+        # the later ones dispatch its code at first sight.
+        if result is peeled[0]:
+            assert _engine(result) == _engine(want)
+        elif result.backend == "batch-peeled":
+            assert result.stats.fused_dispatches \
+                > want.stats.fused_dispatches
+
+
+@pytest.mark.parametrize("name,mode", [("lud", "seq"), ("model", "sts")])
+def test_hot_rerun_under_the_deep_sanitizer(name, mode):
+    """The shadow tier checks a re-run's first-sight dispatches against
+    the unfused kernel, which would catch one the guards let through
+    wrongly."""
+    config = baseline()
+    inputs = get_benchmark(name).make_inputs(1)
+    program = _compile(name, mode, config)
+    first = run_program(program, config, overrides=inputs)
+    second = run_program(program, config, overrides=inputs,
+                         sanitize="deep")
+    assert second.sanitizer.trips == 0
+    assert second.sanitizer.shadow_checks > 0
+    assert _answer(second) == _answer(first)
+    cold = run_program(_compile(name, mode, config), config,
+                       overrides=inputs, sanitize="deep")
+    assert second.stats.fused_dispatches > cold.stats.fused_dispatches
 
 
 def test_block_handles_stay_per_run():

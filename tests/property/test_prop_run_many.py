@@ -18,7 +18,7 @@ import pytest
 from repro.errors import CellFailure, ConfigError
 from repro.experiments.runner import Harness, RunSpec
 
-pytest.importorskip("numpy")
+pytest.importorskip("numpy", exc_type=ImportError)
 
 #: Two bundles' worth of seeded variants plus a seedless singleton and
 #: a second benchmark: exercises bundle grouping, the singleton path,

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro import compile_program
+from repro.isa import asmtext
 from repro.machine import baseline
 from repro.programs import get_benchmark
 from repro.sim import predecode, run_program
@@ -51,8 +52,9 @@ def _tamper_all_blocks(state):
     """
     def tamper(node):
         thread = node.active[0]
-        table = node._decoded[thread.name].blocks
-        for ip in sorted(table._entries):
+        decoded = node._decoded[thread.name]
+        table = decoded.blocks
+        for ip in sorted(predecode._entry_points(decoded.words)):
             table._heat[ip] = 10 ** 9        # force past warmup
             block = table.get(ip)
             if block is None:
@@ -128,6 +130,27 @@ class TestMiscompiledBlock:
         assert any("not reproduced" in line for line in lines)
 
 
+def _miscompile_every_block(monkeypatch, address):
+    """Make every superblock compiled from now on also add 999 to
+    memory word ``address``: a miscompile the shadow tier must catch."""
+    compile_run = predecode._compile_run
+
+    def miscompile(*args):
+        block = compile_run(*args)
+        real = block.fn
+
+        def corrupt(node, thread, cycle):
+            out = real(node, thread, cycle)
+            values = node.memory._values
+            values[address] = values.get(address, 0) + 999
+            return out
+
+        block.fn = corrupt
+        return block
+
+    monkeypatch.setattr(predecode, "_compile_run", miscompile)
+
+
 def test_trip_in_first_window_resumes_a_loaded_snapshot(monkeypatch,
                                                         tmp_path):
     """Every superblock this fresh program compiles also corrupts
@@ -138,22 +161,7 @@ def test_trip_in_first_window_resumes_a_loaded_snapshot(monkeypatch,
     bench, compiled, config, inputs = _cell("lud", "seq")
     reference = run_program(compiled.program, config.with_fusion(False),
                             overrides=inputs)
-    compile_run = predecode._compile_run
-
-    def miscompile(*args):
-        block = compile_run(*args)
-        real = block.fn
-
-        def corrupt(node, thread, cycle):
-            out = real(node, thread, cycle)
-            values = node.memory._values
-            values[0] = values.get(0, 0) + 999
-            return out
-
-        block.fn = corrupt
-        return block
-
-    monkeypatch.setattr(predecode, "_compile_run", miscompile)
+    _miscompile_every_block(monkeypatch, 0)
     policy = SanitizerPolicy(level="shadow", report_dir=str(tmp_path))
     result = run_sanitized(compiled.program, config, overrides=inputs,
                            policy=policy)
@@ -166,6 +174,54 @@ def test_trip_in_first_window_resumes_a_loaded_snapshot(monkeypatch,
     verdict = replay_bundle(result.sanitizer.reports[0], out=[].append)
     assert verdict["kind"] == "divergence"
     assert verdict["reproduced"] is True
+
+
+#: A hand-written loop whose head is the program's first word and
+#: compiles to a one-cycle superblock, the one span that the first
+#: cycle's pause does not clamp.
+_LOOP_AT_WORD_0 = """
+.symbol OUT 2 full
+.thread main
+top:
+{
+  c0.iu0: iadd c0.r1, c0.r1, #1
+  c4.bru0: brt c4.r3, done
+}
+{
+  c0.iu0: ige c4.r3, c0.r1, #40
+}
+{
+  c4.bru0: br top
+}
+done:
+{
+  c0.mem0: st c0.r1, #0, #0
+}
+{
+  c4.bru0: halt
+}
+"""
+
+
+def test_hot_rerun_fuses_nothing_before_the_first_snapshot(monkeypatch,
+                                                          tmp_path):
+    """A re-run dispatches code the reuse slot holds at first sight, so
+    a corrupt block could run in the sanitizer's first cycle and sit in
+    every snapshot its triage rolls back to.  The primary runs that
+    cycle unfused: the trip comes later, and the run recovers."""
+    program = asmtext.parse(_LOOP_AT_WORD_0)
+    config = baseline()
+    reference = run_program(program, config.with_fusion(False))
+    _miscompile_every_block(monkeypatch, 1)
+    first = run_program(program, config)
+    assert first.memory._values != reference.memory._values, \
+        "the slot holds no corrupt code"
+    policy = SanitizerPolicy(level="shadow", report_dir=str(tmp_path))
+    result = run_sanitized(program, config, policy=policy)
+    assert result.sanitizer.trips >= 1
+    assert result.cycles == reference.cycles
+    assert result.memory._values == reference.memory._values
+    assert result.stats.summary() == reference.stats.summary()
 
 
 def test_shadow_mode_without_fusion_still_audits():

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro import baseline, compile_program, run_program
 from repro.errors import SimulationError
