@@ -113,18 +113,6 @@ class RunResult:
     def iu_util(self):
         return self.utilization["iu"]
 
-    @property
-    def cycles_per_second(self):
-        """Simulated cycles per wall-clock second (perf trajectory).
-
-        0.0 whenever the wall clock is zero, negative, or too small to
-        be a real measurement — notably journal-replayed cells whose
-        record predates wall-clock capture — so ``--resume`` aggregates
-        can never divide by zero or report inf."""
-        if self.wall_seconds <= 1e-9:
-            return 0.0
-        return self.cycles / self.wall_seconds
-
     def as_record(self):
         """The JSON-serializable form of this result.  The engine
         counters ride beside ``stats``, whose summary stays identical

@@ -118,7 +118,6 @@ class SweepJournal:
         self.header = dict(header)
         self.header["version"] = JOURNAL_VERSION
         self._completed = {}
-        self._failed = {}
         self._handle = None
         self._load()
 
@@ -153,11 +152,9 @@ class SweepJournal:
                         "header %r vs current %r"
                         % (self.path, recorded, self.header))
                 seen_header = True
-            elif record.get("kind") == "cell" and seen_header:
-                if record.get("status") == "ok":
-                    self._completed[record["key"]] = record
-                else:
-                    self._failed[record["key"]] = record
+            elif (record.get("kind") == "cell" and seen_header
+                  and record.get("status") == "ok"):
+                self._completed[record["key"]] = record
 
     def completed(self, digest):
         """The recorded ok-cell for this key digest, or None."""
@@ -166,10 +163,6 @@ class SweepJournal:
     @property
     def completed_count(self):
         return len(self._completed)
-
-    @property
-    def failed_count(self):
-        return len(self._failed)
 
     def _ensure_open(self):
         if self._handle is not None:
@@ -207,7 +200,6 @@ class SweepJournal:
         entry = failure.as_record()
         entry.update(kind="cell", key=digest, status="failed")
         self._write(entry)
-        self._failed[digest] = entry
 
     def close(self):
         if self._handle is not None:

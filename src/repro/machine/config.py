@@ -116,17 +116,6 @@ class MachineConfig:
         return [i for i, c in enumerate(self.clusters)
                 if c.is_branch_cluster]
 
-    def alu_clusters(self):
-        """Indices of clusters containing an IU or FPU (can host moves)."""
-        return [i for i, c in enumerate(self.clusters) if c.has_alu]
-
-    def latency_of(self, kind):
-        """Smallest pipeline latency among units of the given kind."""
-        slots = self.units_of_kind(kind)
-        if not slots:
-            raise ConfigError("no unit of kind %s" % kind)
-        return min(slot.latency for slot in slots)
-
     # -- derivation ----------------------------------------------------
 
     def _with(self, **changes):

@@ -16,7 +16,7 @@ from .registers import RegisterFrame
 from .sanitize import (InvariantAuditor, SanitizerPolicy, SanitizerReport,
                        SanitizerSummary, audit_node, replay_bundle,
                        run_sanitized)
-from .stats import ENGINE_STAT_FIELDS, Stats
+from .stats import Stats
 from .thread import ThreadContext
 
 __all__ = [
@@ -28,8 +28,7 @@ __all__ = [
     "load_memory", "validate_program", "MemRequest", "MemorySystem",
     "Node", "SimResult", "make_node", "node_class_for_engine",
     "run_program", "DecodedThread", "SlotPlan", "WordPlan",
-    "decode_program", "RegisterFrame", "ENGINE_STAT_FIELDS", "Stats",
-    "ThreadContext", "InvariantAuditor", "SanitizerPolicy",
-    "SanitizerReport", "SanitizerSummary", "audit_node", "replay_bundle",
-    "run_sanitized",
+    "decode_program", "RegisterFrame", "Stats", "ThreadContext",
+    "InvariantAuditor", "SanitizerPolicy", "SanitizerReport",
+    "SanitizerSummary", "audit_node", "replay_bundle", "run_sanitized",
 ]

@@ -55,6 +55,17 @@ class SimResult:
     def cycles(self):
         return self.stats.cycles
 
+    def outcome(self):
+        """The run's answer, keyed by component: cycles, every
+        statistic but the engine counters (:meth:`Stats.architectural`),
+        memory values and presence bits.  Two runs are the same run when
+        their outcomes are equal; the scan, event, fused and batch
+        kernels must agree on it bit for bit."""
+        return {"cycles": self.cycles,
+                "stats": self.stats.architectural(),
+                "memory": dict(self.memory._values),
+                "presence": set(self.memory._empty)}
+
     def read_symbol(self, name):
         sym = self.program.data[name]
         return self.memory.read_range(sym.base, sym.size)

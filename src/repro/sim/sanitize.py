@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from ..errors import (DivergenceError, InvariantViolation, SanitizerError,
                       SimulationError)
 from .node import Node, make_node
-from .stats import ENGINE_STAT_FIELDS
 
 #: Recognized sanitizer levels, weakest to strongest.
 LEVELS = ("off", "audit", "shadow", "deep")
@@ -56,25 +55,26 @@ DEFAULT_REPORT_DIR = "sanitizer-reports"
 
 _BUNDLE_FORMAT = 2
 
+#: Per level, the cycle stride between invariant audits (1 = every
+#: cycle) and the lockstep window between shadow state comparisons.
+#: ``deep`` is the debugging configuration, not the always-on one.
+STRIDES = {"audit": (64, 4096), "shadow": (64, 4096), "deep": (1, 256)}
+
+#: Quarantine-and-retry rounds before a run de-optimizes outright
+#: (fusion disabled wholesale).
+MAX_REQUARANTINES = 4
+
+#: The round-robin fairness bound: a thread observed continuously ready
+#: for this many cycles while others issue trips the audit.
+STARVATION_CYCLES = 100_000
+
 
 @dataclass
 class SanitizerPolicy:
-    """Knobs for one sanitized run.
-
-    ``audit_stride`` is the cycle stride between invariant audits (1 =
-    every cycle); ``shadow_stride`` the lockstep window between shadow
-    state comparisons.  ``max_requarantines`` bounds the
-    quarantine-and-retry rounds before the run de-optimizes outright
-    (fusion disabled wholesale).  ``starvation_cycles`` is the
-    round-robin fairness bound: a thread observed continuously ready
-    for that many cycles while others issue trips the audit.
-    """
+    """One sanitized run's level, and where its reproducer bundles go.
+    Every other setting follows from the level (:data:`STRIDES`)."""
 
     level: str = "audit"
-    audit_stride: int = 64
-    shadow_stride: int = 4096
-    max_requarantines: int = 4
-    starvation_cycles: int = 100_000
     report_dir: str = None
 
     def __post_init__(self):
@@ -85,13 +85,13 @@ class SanitizerPolicy:
             self.report_dir = os.environ.get("REPRO_SANITIZE_DIR",
                                              DEFAULT_REPORT_DIR)
 
-    @classmethod
-    def from_level(cls, level):
-        if level == "deep":
-            # Per-cycle audits and tight shadow windows: the debugging
-            # configuration, not the always-on one.
-            return cls(level=level, audit_stride=1, shadow_stride=256)
-        return cls(level=level)
+    @property
+    def audit_stride(self):
+        return STRIDES[self.level][0]
+
+    @property
+    def shadow_stride(self):
+        return STRIDES[self.level][1]
 
     @property
     def wants_audit(self):
@@ -109,7 +109,7 @@ def coerce_policy(policy):
     if isinstance(policy, SanitizerPolicy):
         return policy
     if isinstance(policy, str):
-        return SanitizerPolicy.from_level(policy)
+        return SanitizerPolicy(level=policy)
     raise TypeError("sanitize policy must be a level name or "
                     "SanitizerPolicy, not %r" % (policy,))
 
@@ -497,7 +497,7 @@ def _thread_ready_now(node, thread):
 
 def _audit_starvation(node, cycle, auditor, violations):
     """Round-robin starvation bound: a thread observed ready-to-issue
-    at every audit across ``starvation_cycles`` cycles, issuing
+    at every audit across :data:`STARVATION_CYCLES` cycles, issuing
     nothing while other threads issue, violates round-robin's fairness
     guarantee.  (Priority arbitration starves by design; not audited.)
     """
@@ -506,7 +506,7 @@ def _audit_starvation(node, cycle, auditor, violations):
     marks = auditor._starve
     counts = _issued_by_tid(node)
     total = sum(counts.values())
-    bound = auditor.policy.starvation_cycles
+    bound = STARVATION_CYCLES
     live = set()
     for thread in node.active:
         tid = thread.tid
@@ -553,13 +553,14 @@ def canonical_state(node):
 
     Engine bookkeeping that legitimately differs between the fused and
     unfused kernels (heap sequence counters, park hints, fast-forward
-    diagnostics, ENGINE_STAT_FIELDS) is deliberately excluded: two
-    bit-identical runs must produce equal components even across the
-    fused/unfused divide.
+    diagnostics, and the engine counters that
+    :meth:`~repro.sim.stats.Stats.architectural` leaves out) is
+    deliberately excluded: two bit-identical runs must produce equal
+    components even across the fused/unfused divide.
     """
     return {
         "cycle": node.cycle,
-        "stats": _stats_state(node.stats),
+        "stats": node.stats.architectural(),
         "threads": tuple(_thread_state(thread) for thread in
                          sorted(node.active + node.finished,
                                 key=lambda t: t.tid)),
@@ -615,18 +616,6 @@ def state_delta(a, b, limit=16):
         if len(lines) >= limit:
             break
     return lines
-
-
-def _stats_state(stats):
-    out = []
-    for key, value in sorted(vars(stats).items()):
-        if key in ENGINE_STAT_FIELDS or key == "unit_counts":
-            continue
-        if isinstance(value, dict):
-            value = tuple(sorted(value.items(),
-                                 key=lambda item: repr(item[0])))
-        out.append((key, value))
-    return tuple(out)
 
 
 def _thread_state(thread):
@@ -786,7 +775,7 @@ def replay_bundle(path, out=None, max_cycles=None, trace=False):
     watchdog = meta.get("watchdog_cycles")
     if meta["kind"] == "invariant":
         node = Node.restore(snapshot)
-        policy = SanitizerPolicy.from_level("deep")
+        policy = SanitizerPolicy(level="deep")
         node.sanitizer = InvariantAuditor(policy)
         node.sanitizer.next_cycle = node.cycle
         try:
@@ -1034,7 +1023,7 @@ def _run_shadowed(program, config, overrides, max_cycles,
             raise DivergenceError(message,
                                   bundle_path=summary.reports[0])
         fresh = [entry for entry in suspects if entry not in quarantined]
-        if fresh and summary.requarantines < policy.max_requarantines:
+        if fresh and summary.requarantines < MAX_REQUARANTINES:
             quarantined.update(fresh)
             summary.requarantines += 1
         else:

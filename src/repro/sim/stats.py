@@ -12,11 +12,11 @@ from ..isa.operations import UnitClass
 
 #: Engine-bookkeeping counters on :class:`Stats` that are *not*
 #: architectural quantities: they differ between the fused and unfused
-#: kernels by design, stay out of :meth:`Stats.summary`, and must be
-#: excluded from any cross-engine equality check (the equivalence
-#: suite and the sanitizer's shadow comparison both key off this tuple).
-ENGINE_STAT_FIELDS = ("fused_dispatches", "defuse_reasons",
-                      "quarantined_blocks")
+#: kernels by design, and a re-run's depend on what ran before it.
+#: :meth:`Stats.architectural` leaves them out, and :meth:`Stats.summary`
+#: never reports them.
+_ENGINE_FIELDS = ("fused_dispatches", "defuse_reasons",
+                  "quarantined_blocks")
 
 
 class Stats:
@@ -52,9 +52,8 @@ class Stats:
         self.spawn_queue_waits = 0
         # Superblock dispatches executed by the fused event kernel.  An
         # engine implementation detail, not an architectural quantity:
-        # deliberately absent from summary() so fused and unfused runs
-        # stay digest-identical, and excluded from the equivalence
-        # suite's stats comparison (see ENGINE_STAT_FIELDS).
+        # absent from summary() and architectural(), so fused and
+        # unfused runs compare equal (see _ENGINE_FIELDS).
         self.fused_dispatches = 0
         # Why fusion declined to dispatch, by reason (same engine-only
         # status as fused_dispatches).  The counted sites are the
@@ -80,6 +79,15 @@ class Stats:
         self.total_operations += 1
 
     # -- reporting ------------------------------------------------------
+
+    def architectural(self):
+        """Every field but the engine counters, as a plain dict: what
+        two runs of one program on one machine must agree on, whichever
+        kernel ran them.  Counters become plain dicts, so a zero entry
+        differs from a missing one."""
+        return {key: dict(value) if isinstance(value, dict) else value
+                for key, value in vars(self).items()
+                if key not in _ENGINE_FIELDS}
 
     def utilization(self, kind):
         """Average operations of this unit class executed per cycle."""

@@ -1,8 +1,8 @@
 """Decoded words and compiled superblocks are shared between runs of
 one program (``repro.sim.predecode.decode_program``).  The sharing
 must not change any answer: a program object run again matches a
-freshly compiled copy in cycles, ``Stats.summary()``, memory values
-and presence bits, and per-run block handles stay per run.  It does
+freshly compiled copy in ``SimResult.outcome()``, and per-run block
+handles stay per run.  It does
 change how a re-run gets there: warm-up gates compilation, not
 dispatch, so an entry whose code the slot already holds dispatches at
 first sight, and a re-run's engine counters may exceed a fresh copy's.
@@ -29,12 +29,6 @@ def _compile(name, mode, config):
     return compile_program(bench.source(mode), config, mode=mode).program
 
 
-def _answer(result):
-    """What no run history may change."""
-    return (result.cycles, result.stats.summary(),
-            result.memory._values, result.memory._empty)
-
-
 def _engine(result):
     stats = result.stats
     return stats.fused_dispatches, dict(stats.defuse_reasons)
@@ -52,10 +46,10 @@ def test_rerunning_one_program_matches_fresh_copies(name, mode):
              for __ in range(3)]
     # First runs are pinned: fresh copies agree in everything.
     for run in fresh[1:]:
-        assert (_answer(run), _engine(run)) \
-            == (_answer(fresh[0]), _engine(fresh[0]))
-    assert [_answer(run) for run in reruns] \
-        == [_answer(run) for run in fresh]
+        assert (run.outcome(), _engine(run)) \
+            == (fresh[0].outcome(), _engine(fresh[0]))
+    assert [run.outcome() for run in reruns] \
+        == [run.outcome() for run in fresh]
     assert _engine(reruns[0]) == _engine(fresh[0])
     assert fresh[0].stats.fused_dispatches > 0, \
         "nothing fused: the test shares nothing"
@@ -80,7 +74,7 @@ def test_rerun_dispatches_compiled_entries_at_first_sight():
                        for ip in blocks)
     assert entries, "lud/seq compiled no superblocks"
     rerun = run_program(program, config, overrides=inputs)
-    assert _answer(rerun) == _answer(fresh)
+    assert rerun.outcome() == fresh.outcome()
     assert rerun.stats.fused_dispatches - fresh.stats.fused_dispatches \
         == entries * (predecode._WARMUP_DISPATCHES - 1)
 
@@ -153,7 +147,7 @@ def test_hot_rerun_under_the_deep_sanitizer(name, mode):
                          sanitize="deep")
     assert second.sanitizer.trips == 0
     assert second.sanitizer.shadow_checks > 0
-    assert _answer(second) == _answer(first)
+    assert second.outcome() == first.outcome()
     cold = run_program(_compile(name, mode, config), config,
                        overrides=inputs, sanitize="deep")
     assert second.stats.fused_dispatches > cold.stats.fused_dispatches

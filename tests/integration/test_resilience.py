@@ -33,8 +33,7 @@ class TestGracefulDegradation:
         first = run_program(compiled.program, config, overrides=inputs)
         again = run_program(compiled.program, config, overrides=inputs)
         assert not bench.check(first, inputs)
-        assert first.cycles == again.cycles
-        assert first.stats.summary() == again.stats.summary()
+        assert first.outcome() == again.outcome()
 
     def test_faults_cost_cycles_and_reroute(self):
         config = baseline()
@@ -185,16 +184,15 @@ class TestCheckpointRestore:
 
         restored = Node.restore(snap)
         result = restored.resume()
-        assert result.cycles == reference.cycles
-        assert result.stats.summary() == reference.stats.summary()
+        assert result.outcome() == reference.outcome()
         assert not bench.check(result, inputs)
 
         # The original node can continue too, and the snapshot is
         # reusable for a second restore.
         original = node.resume()
-        assert original.cycles == reference.cycles
+        assert original.outcome() == reference.outcome()
         second = Node.restore(snap).resume()
-        assert second.cycles == reference.cycles
+        assert second.outcome() == reference.outcome()
 
     def test_round_trip_under_faults(self):
         config = baseline().with_faults(ALU_OFFLINE)
@@ -204,8 +202,7 @@ class TestCheckpointRestore:
         node = Node(config)
         node.run(compiled.program, overrides=inputs, pause_at=400)
         result = Node.restore(node.snapshot()).resume()
-        assert result.cycles == reference.cycles
-        assert result.stats.summary() == reference.stats.summary()
+        assert result.outcome() == reference.outcome()
         assert not bench.check(result, inputs)
 
     def test_snapshot_before_run_rejected(self):

@@ -45,8 +45,7 @@ class TestDeterminism:
         config = baseline().with_memory(spec).with_seed(seed)
         a = run_threaded(config)
         b = run_threaded(config)
-        assert a.cycles == b.cycles
-        assert a.stats.summary() == b.stats.summary()
+        assert a.outcome() == b.outcome()
 
 
 class TestLatencyRobustness:
@@ -135,8 +134,7 @@ class TestFaultResilience:
         config = baseline().with_faults(plan)
         a = run_threaded(config)
         b = run_threaded(config)
-        assert a.cycles == b.cycles
-        assert a.stats.summary() == b.stats.summary()
+        assert a.outcome() == b.outcome()
         assert a.read_symbol("B") == EXPECTED
 
     @given(events=_fault_events, reroute=st.booleans())

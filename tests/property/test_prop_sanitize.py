@@ -35,10 +35,7 @@ def test_deep_sanitized_run_is_bit_identical(bench_name, mode):
     plain = run_program(compiled.program, config, overrides=inputs)
     sanitized = run_sanitized(compiled.program, config,
                               overrides=inputs, policy="deep")
-    assert sanitized.cycles == plain.cycles
-    assert sanitized.memory._values == plain.memory._values
-    assert sanitized.memory._empty == plain.memory._empty
-    assert sanitized.stats.summary() == plain.stats.summary()
+    assert sanitized.outcome() == plain.outcome()
     assert sanitized.sanitizer.trips == 0
     assert sanitized.sanitizer.audits > 0
     if plain.stats.fused_dispatches:
@@ -99,9 +96,7 @@ class TestMiscompiledBlock:
         assert set(map(tuple, summary.quarantined)) <= wrapped
         # Graceful de-optimization: the corrupted spans are barred and
         # the run completes bit-identical to the unfused event kernel.
-        assert result.cycles == reference.cycles
-        assert result.memory._values == reference.memory._values
-        assert result.stats.summary() == reference.stats.summary()
+        assert result.outcome() == reference.outcome()
         # The quarantine surfaces in Stats and in the de-fusion
         # counters (quarantined entries decline future dispatches).
         assert result.stats.quarantined_blocks == len(summary.quarantined)
@@ -166,9 +161,7 @@ def test_trip_in_first_window_resumes_a_loaded_snapshot(monkeypatch,
     result = run_sanitized(compiled.program, config, overrides=inputs,
                            policy=policy)
     assert result.sanitizer.trips >= 1
-    assert result.cycles == reference.cycles
-    assert result.memory._values == reference.memory._values
-    assert result.stats.summary() == reference.stats.summary()
+    assert result.outcome() == reference.outcome()
     # The restored snapshot recompiles its blocks through the same
     # miscompiling hook, so the divergence reproduces.
     verdict = replay_bundle(result.sanitizer.reports[0], out=[].append)
@@ -219,9 +212,7 @@ def test_hot_rerun_fuses_nothing_before_the_first_snapshot(monkeypatch,
     policy = SanitizerPolicy(level="shadow", report_dir=str(tmp_path))
     result = run_sanitized(program, config, policy=policy)
     assert result.sanitizer.trips >= 1
-    assert result.cycles == reference.cycles
-    assert result.memory._values == reference.memory._values
-    assert result.stats.summary() == reference.stats.summary()
+    assert result.outcome() == reference.outcome()
 
 
 def test_shadow_mode_without_fusion_still_audits():
@@ -232,7 +223,7 @@ def test_shadow_mode_without_fusion_still_audits():
     plain = run_program(compiled.program, unfused, overrides=inputs)
     result = run_sanitized(compiled.program, unfused,
                            overrides=inputs, policy="shadow")
-    assert result.cycles == plain.cycles
+    assert result.outcome() == plain.outcome()
     assert result.sanitizer.shadow_checks == 0
     assert result.sanitizer.audits > 0
     assert result.sanitizer.trips == 0

@@ -261,10 +261,7 @@ class TestRunBatch:
         assert not outcome.peeled
         for lane, inputs in enumerate(lane_inputs):
             scalar = run_program(program, config, overrides=inputs)
-            sim = outcome.results[lane]
-            assert sim.cycles == scalar.cycles
-            assert sim.memory._values == scalar.memory._values
-            assert sim.memory._empty == scalar.memory._empty
+            assert outcome.results[lane].outcome() == scalar.outcome()
 
     def test_identical_lanes_stay_scalar_throughout(self):
         program = _program()
@@ -273,7 +270,7 @@ class TestRunBatch:
         outcome = run_batch(program, config, [dict(inputs), dict(inputs)])
         assert outcome.lockstep_lanes == [0, 1]
         scalar = run_program(program, config, overrides=inputs)
-        assert outcome.results[0].cycles == scalar.cycles
+        assert outcome.results[0].outcome() == scalar.outcome()
 
     def test_shared_error_peels_everyone(self):
         program = _program()

@@ -116,7 +116,6 @@ class TestHarnessCaching:
     def test_wall_clock_recorded(self):
         result = Harness().run("matrix", "seq")
         assert result.wall_seconds > 0.0
-        assert result.cycles_per_second > 0.0
 
     @staticmethod
     def _watch_sims(monkeypatch):

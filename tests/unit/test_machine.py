@@ -60,9 +60,6 @@ class TestBaseline:
         slot = config.unit_by_id["c2.fpu0"]
         assert slot.cluster == 2 and slot.kind is UnitClass.FPU
 
-    def test_latency_of(self):
-        assert baseline().latency_of(UnitClass.FPU) == 1
-
     def test_describe_mentions_clusters(self):
         text = baseline().describe()
         assert "cluster 0" in text and "cluster 5" in text
@@ -103,7 +100,6 @@ class TestUnitMix:
     def test_memory_only_clusters_allowed(self):
         config = unit_mix(1, 1)
         assert not config.clusters[3].has_alu
-        assert config.alu_clusters() == [0]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):

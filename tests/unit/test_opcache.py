@@ -163,8 +163,7 @@ class TestEndToEnd:
         first = run_program(compiled.program, config)
         again = run_program(compiled.program, config)
         assert first.read_symbol("out") == [1, 2, 3, 4]
-        assert first.cycles == again.cycles
-        assert first.stats.summary() == again.stats.summary()
+        assert first.outcome() == again.outcome()
         assert first.stats.opcache_misses > 0
 
     def test_derivation_preserves_op_cache(self):

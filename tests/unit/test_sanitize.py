@@ -18,7 +18,7 @@ from repro.errors import (CellFailure, InvariantViolation, SanitizerError,
                           SimulationError)
 from repro.machine import baseline
 from repro.programs import get_benchmark
-from repro.sim import make_node, run_program
+from repro.sim import make_node, run_program, sanitize
 from repro.sim.opcache import OpCacheSpec
 from repro.sim.sanitize import (InvariantAuditor, SanitizerPolicy,
                                 _audit_starvation, _build_report,
@@ -63,7 +63,7 @@ class TestPolicy:
         assert coerce_policy("audit").level == "audit"
         deep = coerce_policy("deep")
         assert deep.audit_stride == 1
-        policy = SanitizerPolicy(level="shadow", audit_stride=7)
+        policy = SanitizerPolicy(level="shadow")
         assert coerce_policy(policy) is policy
         with pytest.raises(ValueError):
             SanitizerPolicy(level="paranoid")
@@ -167,8 +167,7 @@ class TestInvariantAudits:
         thread = node.active[0]
         frame = thread.frames[sorted(thread.frames)[0]]
         frame._invalid |= 1 << 30
-        node.sanitizer = InvariantAuditor(
-            SanitizerPolicy.from_level("deep"))
+        node.sanitizer = InvariantAuditor(SanitizerPolicy(level="deep"))
         with pytest.raises(InvariantViolation) as excinfo:
             node.resume()
         assert excinfo.value.cycle == 101
@@ -192,12 +191,13 @@ class TestStarvationAudit:
             active=[thread(0), thread(1)],
             stats=types.SimpleNamespace(issued_by_thread=dict(issued)))
 
-    def _auditor(self, bound=100):
-        return InvariantAuditor(
-            SanitizerPolicy(level="audit", starvation_cycles=bound))
+    @staticmethod
+    def _auditor(monkeypatch, bound=100):
+        monkeypatch.setattr(sanitize, "STARVATION_CYCLES", bound)
+        return InvariantAuditor(SanitizerPolicy(level="audit"))
 
-    def test_starved_ready_thread_trips(self):
-        auditor = self._auditor(bound=100)
+    def test_starved_ready_thread_trips(self, monkeypatch):
+        auditor = self._auditor(monkeypatch, bound=100)
         violations = []
         _audit_starvation(self._fake_node({0: 10, 1: 0}), 1000,
                           auditor, violations)
@@ -207,8 +207,8 @@ class TestStarvationAudit:
         assert len(violations) == 1
         assert "starvation" in violations[0] and "t1" in violations[0]
 
-    def test_issuing_thread_resets_the_clock(self):
-        auditor = self._auditor(bound=100)
+    def test_issuing_thread_resets_the_clock(self, monkeypatch):
+        auditor = self._auditor(monkeypatch, bound=100)
         violations = []
         _audit_starvation(self._fake_node({0: 10, 1: 0}), 1000,
                           auditor, violations)
@@ -216,9 +216,9 @@ class TestStarvationAudit:
                           auditor, violations)
         assert violations == []
 
-    def test_an_idle_machine_is_not_starvation(self):
+    def test_an_idle_machine_is_not_starvation(self, monkeypatch):
         # Nobody else issued either: that's a stall, not unfairness.
-        auditor = self._auditor(bound=100)
+        auditor = self._auditor(monkeypatch, bound=100)
         violations = []
         _audit_starvation(self._fake_node({0: 10, 1: 0}), 1000,
                           auditor, violations)
@@ -226,8 +226,8 @@ class TestStarvationAudit:
                           auditor, violations)
         assert violations == []
 
-    def test_priority_arbitration_not_audited(self):
-        auditor = self._auditor(bound=1)
+    def test_priority_arbitration_not_audited(self, monkeypatch):
+        auditor = self._auditor(monkeypatch, bound=1)
         node = self._fake_node({0: 10, 1: 0})
         node.arbiter = types.SimpleNamespace(name="priority")
         violations = []

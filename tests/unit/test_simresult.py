@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from repro import baseline, compile_program, run_program
 from repro.isa.operations import UnitClass
+from repro.sim import make_node
 
 SOURCE = """
 (program
@@ -50,6 +53,57 @@ class TestSimResult:
     def test_cycles_property(self):
         result = run()
         assert result.cycles == result.stats.cycles > 0
+
+
+def _flip_presence(result):
+    result.memory._empty ^= {result.program.data["flag"].base}
+
+
+def _change_memory_value(result):
+    result.memory._values[result.program.data["A"].base] += 1.0
+
+
+def _change_unit_count(result):
+    uid = sorted(result.stats.issued_by_unit)[0]
+    result.stats.issued_by_unit[uid] += 1
+
+
+def _change_finish_cycle(result):
+    tid = sorted(result.stats.thread_finish_cycle)[-1]
+    result.stats.thread_finish_cycle[tid] += 1
+
+
+def _add_zero_count(result):
+    result.stats.issued_by_unit["c9.iu0"] = 0
+
+
+class TestOutcome:
+    """What ``SimResult.outcome()`` sees, and what it ignores."""
+
+    @pytest.mark.parametrize("change", [
+        _flip_presence, _change_memory_value, _change_unit_count,
+        _change_finish_cycle, _add_zero_count],
+        ids=lambda change: change.__name__.lstrip("_"))
+    def test_architectural_change_differs(self, change):
+        config = baseline()
+        compiled = compile_program(SOURCE, config, mode="coupled")
+        first, second = (run_program(compiled.program, config)
+                         for __ in range(2))
+        assert first.outcome() == second.outcome()
+        change(second)
+        assert first.outcome() != second.outcome()
+
+    def test_engine_counters_are_ignored(self):
+        config = baseline().with_engine("event")
+        compiled = compile_program(SOURCE, config, mode="coupled")
+        first = run_program(compiled.program, config)
+        node = make_node(config)
+        second = node.run(compiled.program)
+        second.stats.fused_dispatches += 1
+        second.stats.defuse_reasons["st_partial_word"] += 1
+        second.stats.quarantined_blocks += 1
+        node.ffwd_jumps += 1
+        assert first.outcome() == second.outcome()
 
 
 class TestStats:
