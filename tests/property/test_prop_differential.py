@@ -7,7 +7,7 @@ numpy is installed, must also agree on every random program, in fused
 code as well as interpreted."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import compile_program, interpret, run_program
 from repro.machine import baseline, single_cluster, unit_mix
@@ -134,6 +134,23 @@ def programs(draw):
 """ % (ARRAY_SIZE, ARRAY_SIZE, inits[0], inits[1], "\n      ".join(body))
 
 
+# Straight-line, so its one superblock is the whole program; the two
+# stores to FARR[0] are a same-address pair, so that block bails at its
+# run-time guard and the program runs interpreted on every kernel.
+GUARD_BAIL_PROGRAM = """
+(program
+  (global IARR 8 :int)
+  (global FARR 8)
+  (main
+    (let ((i0 1) (i1 -2) (i2 3) (f0 0.5) (f1 -1.25))
+      (set! f0 (aref FARR (& (+ -1 i1) 7)))
+      (aset! FARR (& 0 7) 0.0)
+      (aset! FARR (& 0 7) (aref FARR (& -3 7)))
+      (aset! IARR 0 (+ i0 (+ i1 i2)))
+      (aset! FARR 0 (+ f0 f1)))))
+"""
+
+
 CONFIGS = {
     "baseline": baseline(),
     "single": single_cluster(),
@@ -145,13 +162,19 @@ class TestCompiledMatchesInterpreter:
     @given(source=programs(),
            mode=st.sampled_from(["seq", "sts"]),
            config_name=st.sampled_from(sorted(CONFIGS)))
+    @example(source=GUARD_BAIL_PROGRAM, mode="sts", config_name="baseline")
     @settings(max_examples=60, deadline=None)
     def test_random_programs(self, source, mode, config_name):
         config = CONFIGS[config_name]
         expected = interpret(source)
         compiled = compile_program(source, config, mode=mode)
         result = run_every_tier(compiled.program, config)
-        assert result.stats.fused_dispatches > 0, source
+        # Every program enters compiled superblock code.  Each entry
+        # either completes a dispatch or fails a run-time guard before
+        # touching state and runs that block interpreted.
+        stats = result.stats
+        assert stats.fused_dispatches \
+            or stats.defuse_reasons["st_guard_bail"], source
         for symbol in ("IARR", "FARR"):
             assert result.read_symbol(symbol) == \
                 expected.read_symbol(symbol), (mode, config_name, source)
